@@ -232,7 +232,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(frozen->input_elems));
 
     // Registry-hosted so the sweep can hot-swap the model mid-ramp: the
-    // frozen plan ships through the v4 container to a temp HSWT file that
+    // frozen plan ships through the v5 container to a temp HSWT file that
     // the reloader thread keeps re-reading through the gauntlet.
     const std::string frozen_path =
         (std::filesystem::temp_directory_path() / "hs_bench_serve.hswt")

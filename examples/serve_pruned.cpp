@@ -23,7 +23,7 @@
 //   * --connect host:port — pure client: drives the same open-loop
 //     traffic at a remote serve_pruned --listen over the frame protocol.
 //
-// `--models name=path,...` serves a fleet of pre-frozen v4 HSWT files
+// `--models name=path,...` serves a fleet of pre-frozen v5 HSWT files
 // instead of the built-in pruned VGG; the first entry is the default
 // model (wire id 0). Without it, the pruned VGG is frozen, saved to a
 // temp HSWT file, and registered as "default" — so SIGHUP reload has a
@@ -31,7 +31,7 @@
 //
 // `--smoke` shrinks the run to a couple of seconds (used by the CTest
 // smoke test); `--int8` quantizes the frozen plan (calibrating on a
-// synthetic batch) and round-trips it through the v4 frozen-model file
+// synthetic batch) and round-trips it through the v5 frozen-model file
 // before serving, exercising the full deploy path; `--json` writes the
 // hs::obs run report with the serving percentiles as gauges.
 // Backpressure is handled like a real client: rejected submits (local
@@ -334,7 +334,7 @@ int main(int argc, char** argv) {
     std::string default_frozen_path;  // temp HSWT backing SIGHUP reloads
 
     if (!opt.models.empty()) {
-        // Fleet mode: serve pre-frozen v4 HSWT files; the first entry is
+        // Fleet mode: serve pre-frozen v5 HSWT files; the first entry is
         // the default model (wire id 0).
         std::size_t pos = 0;
         while (pos <= opt.models.size()) {
@@ -381,7 +381,7 @@ int main(int argc, char** argv) {
                     static_cast<double>(frozen->macs) * 1e-6);
 
         // Optional int8 deploy path: calibrate + quantize; the quantized
-        // plan then ships through the v4 container below like any deploy.
+        // plan then ships through the v5 container below like any deploy.
         if (opt.int8) {
             Tensor calib(
                 {8, cfg.input_channels, cfg.input_size, cfg.input_size});
@@ -392,7 +392,7 @@ int main(int argc, char** argv) {
             std::printf("int8: plan quantized\n");
         }
 
-        // Round-trip through the v4 frozen container and keep the file:
+        // Round-trip through the v5 frozen container and keep the file:
         // it is both the deploy-path exercise and the source a SIGHUP
         // reload re-reads.
         default_frozen_path = (std::filesystem::temp_directory_path() /

@@ -179,7 +179,7 @@ void Engine::run(std::span<const float> input, int batch,
 
 void Engine::run_calibrate(
     const Tensor& input, std::vector<float>& op_in_maxabs,
-    std::vector<std::vector<float>>* op_in_chan_maxabs) {
+    std::vector<std::vector<float>>& op_in_chan_maxabs) {
     require(model_->precision == Precision::kFloat32,
             "run_calibrate needs the fp32 plan (calibration precedes "
             "quantization)");
@@ -190,11 +190,10 @@ void Engine::run_calibrate(
     require(input.numel() == model_->input_elems * batch,
             "run_calibrate input shape mismatch");
     op_in_maxabs.resize(model_->ops.size(), 0.0f);
-    if (op_in_chan_maxabs != nullptr)
-        op_in_chan_maxabs->resize(model_->ops.size());
+    op_in_chan_maxabs.resize(model_->ops.size());
     std::memcpy(slot(0), input.data().data(),
                 static_cast<std::size_t>(input.numel()) * sizeof(float));
-    exec_ops(batch, op_in_maxabs.data(), op_in_chan_maxabs);
+    exec_ops(batch, op_in_maxabs.data(), &op_in_chan_maxabs);
 }
 
 void Engine::exec_ops(int batch, float* op_in_maxabs,
@@ -329,8 +328,8 @@ void Engine::exec_conv_q(const FrozenOp& op, int batch) {
     // geom.channels entries) quantize each input plane with its own
     // scale — the matching weight fold happened at quantize() time, so
     // the dequant factor below stays qscale[f]·in_scale (in_scale == 1).
-    // Per-tensor plans quantize the whole image with act_scales[0]
-    // (== in_scale, the v4 scheme).
+    // Per-tensor ops quantize the whole image with act_scales[0]
+    // (== in_scale).
     const std::size_t n_as = op.act_scales.size();
     const bool per_chan =
         n_as > 1 && n_as == static_cast<std::size_t>(g.channels);

@@ -81,14 +81,12 @@ public:
     /// Calibration pass (quantize.h): run [N, C, H, W] through the plan
     /// and fold the max-abs of every op's input activation into
     /// `op_in_maxabs` (one entry per model op, taking the running max so
-    /// several batches can be folded in). When `op_in_chan_maxabs` is
-    /// non-null it receives, for each conv op, the per-input-channel
-    /// max-abs (geom.channels entries; other op kinds get an empty row)
-    /// — the raw material for per-channel activation scales. The output
-    /// is discarded.
+    /// several batches can be folded in). `op_in_chan_maxabs` receives,
+    /// for each conv op, the per-input-channel max-abs (geom.channels
+    /// entries; other op kinds get an empty row) — the raw material for
+    /// per-channel activation scales. The output is discarded.
     void run_calibrate(const Tensor& input, std::vector<float>& op_in_maxabs,
-                       std::vector<std::vector<float>>* op_in_chan_maxabs =
-                           nullptr);
+                       std::vector<std::vector<float>>& op_in_chan_maxabs);
 
     /// Per-op profile rows (plan order). calls/images/total_ns only
     /// accumulate while obs::enabled() — with obs off the hot loop pays

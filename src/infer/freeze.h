@@ -98,8 +98,8 @@ struct FrozenOp {
     std::vector<float> qscale;  ///< per-output-channel weight scale
     float in_scale = 0.0f;      ///< dequant factor paired with qscale (see act_scales)
 
-    /// Input activation quantization scales. One entry: per-tensor (the
-    /// v4 scheme; in_scale holds the same value and the engine dequantizes
+    /// Input activation quantization scales. One entry: per-tensor (linear
+    /// ops; in_scale holds the same value and the engine dequantizes
     /// with qscale[f]·in_scale). geom.channels entries (conv only):
     /// per-input-channel — channel c quantizes with act_scales[c], the
     /// scales were folded into the weight rows before weight quantization

@@ -12,7 +12,6 @@ namespace {
 
 constexpr char kMagic[4] = {'H', 'S', 'W', 'T'};
 constexpr std::uint32_t kVersion = 5;
-constexpr std::uint32_t kVersionV4 = 4;
 constexpr std::uint32_t kEndianTag = 0x01020304u;
 constexpr std::uint32_t kEndianTagSwapped = 0x04030201u;
 
@@ -127,12 +126,7 @@ private:
 
 } // namespace
 
-std::string serialize_frozen(const FrozenModel& model, int version) {
-    require(version == static_cast<int>(kVersion) ||
-                version == static_cast<int>(kVersionV4),
-            "serialize_frozen: unsupported version " +
-                std::to_string(version));
-    const bool v5 = version == static_cast<int>(kVersion);
+std::string serialize_frozen(const FrozenModel& model) {
     std::string payload;
     put_u8(payload, model.precision == Precision::kInt8 ? 1 : 0);
     put_shape(payload, model.input_chw);
@@ -172,36 +166,20 @@ std::string serialize_frozen(const FrozenModel& model, int version) {
             put_u32(payload, static_cast<std::uint32_t>(op.qscale.size()));
             for (const float s : op.qscale) put_f32(payload, s);
             put_f32(payload, op.in_scale);
-            if (v5) {
-                // v5 extras: the tuner's tactic + activation scales. A
-                // v4 writer must be representable without them: only
-                // per-tensor scales and the default heuristic tactic
-                // survive the downgrade.
-                put_u8(payload,
-                       static_cast<std::uint8_t>(op.tactic.kernel));
-                put_u8(payload, op.tactic.ways);
-                put_u8(payload, op.tactic.wbits);
-                put_u8(payload, op.tactic.batch_stack ? 1 : 0);
-                put_u32(payload,
-                        static_cast<std::uint32_t>(op.act_scales.size()));
-                for (const float s : op.act_scales) put_f32(payload, s);
-            } else {
-                require(op.act_scales.size() <= 1,
-                        "serialize_frozen: a per-channel-activation plan "
-                        "cannot be written as v4 (scales do not fit the "
-                        "per-tensor format)");
-                require(op.tactic.wbits == 7,
-                        "serialize_frozen: an 8-bit-weight plan cannot be "
-                        "written as v4 (readers assume the 7-bit "
-                        "contract)");
-            }
+            put_u8(payload, static_cast<std::uint8_t>(op.tactic.kernel));
+            put_u8(payload, op.tactic.ways);
+            put_u8(payload, op.tactic.wbits);
+            put_u8(payload, op.tactic.batch_stack ? 1 : 0);
+            put_u32(payload,
+                    static_cast<std::uint32_t>(op.act_scales.size()));
+            for (const float s : op.act_scales) put_f32(payload, s);
         }
     }
 
     std::string out;
     out.append(kMagic, 4);
     put_u32(out, kEndianTag);
-    put_u32(out, static_cast<std::uint32_t>(version));
+    put_u32(out, kVersion);
     put_u32(out, crc32(payload));
     put_u64(out, payload.size());
     out.append(payload);
@@ -227,12 +205,14 @@ FrozenModel deserialize_frozen(const std::string& bytes,
             "'" + source +
                 "' is a v3 training checkpoint, not a frozen model: load "
                 "it with nn::load_parameters and freeze() the live graph");
-    require(version == kVersion || version == kVersionV4,
-            "unsupported frozen-model file version " +
-                std::to_string(version) + " in '" + source + "' (expected " +
-                std::to_string(kVersionV4) + " or " +
-                std::to_string(kVersion) + ")");
-    const bool v5 = version == kVersion;
+    require(version != 4u,
+            "unsupported frozen-model file version 4 in '" + source +
+                "': re-freeze it with this build (v5 adds the per-op "
+                "tactic and activation scales)");
+    require(version == kVersion, "unsupported frozen-model file version " +
+                                     std::to_string(version) + " in '" +
+                                     source + "' (expected " +
+                                     std::to_string(kVersion) + ")");
 
     const std::uint32_t stored_crc = reader.u32();
     const std::uint64_t payload_len = reader.u64();
@@ -323,31 +303,23 @@ FrozenModel deserialize_frozen(const std::string& bytes,
             op.qscale.resize(scales);
             reader.read(op.qscale.data(), scales * sizeof(float));
             op.in_scale = reader.f32();
-            if (v5) {
-                op.tactic.kernel = static_cast<QKernel>(reader.u8());
-                op.tactic.ways = reader.u8();
-                op.tactic.wbits = reader.u8();
-                op.tactic.batch_stack = reader.u8() != 0;
-                const std::uint32_t n_as = reader.u32();
-                const auto chans =
-                    static_cast<std::uint32_t>(op.geom.channels);
-                require(n_as <= 1 ||
-                            (op.kind == OpKind::kConv && n_as == chans),
-                        "frozen-model file " + reader.where() + ": " +
-                            std::to_string(n_as) +
-                            " activation scales for an op with " +
-                            std::to_string(chans) + " input channels");
-                op.act_scales.resize(n_as);
-                reader.read(op.act_scales.data(), n_as * sizeof(float));
-                // A tactic from a newer writer (unknown kernel id) or
-                // one this host cannot execute exactly degrades to the
-                // heuristic/scalar fallback instead of failing the load.
-                normalize_tactic(op.tactic);
-            } else {
-                // v4: per-tensor activation scale, heuristic dispatch.
-                op.act_scales.assign(1, op.in_scale);
-                op.tactic = QGemmTactic{};
-            }
+            op.tactic.kernel = static_cast<QKernel>(reader.u8());
+            op.tactic.ways = reader.u8();
+            op.tactic.wbits = reader.u8();
+            op.tactic.batch_stack = reader.u8() != 0;
+            const std::uint32_t n_as = reader.u32();
+            const auto chans = static_cast<std::uint32_t>(op.geom.channels);
+            require(n_as <= 1 || (op.kind == OpKind::kConv && n_as == chans),
+                    "frozen-model file " + reader.where() + ": " +
+                        std::to_string(n_as) +
+                        " activation scales for an op with " +
+                        std::to_string(chans) + " input channels");
+            op.act_scales.resize(n_as);
+            reader.read(op.act_scales.data(), n_as * sizeof(float));
+            // A tactic from a newer writer (unknown kernel id) or one
+            // this host cannot execute exactly degrades to the
+            // heuristic/scalar fallback instead of failing the load.
+            normalize_tactic(op.tactic);
         }
         const bool needs_weights =
             op.kind == OpKind::kConv || op.kind == OpKind::kLinear;

@@ -18,20 +18,21 @@
 //               | in_shape | out_shape | bias tensor | optional f32 weight
 //               | optional int8 block (qweight bytes, per-channel scales,
 //                 activation scale,
-//                 v5 only: u8 tactic{kernel,ways,wbits,batch_stack}
+//                 u8 tactic{kernel,ways,wbits,batch_stack}
 //                 | u32 act_scale_count | f32 act_scales)
 //
-// v4 files load with per-tensor activation semantics and the heuristic
-// dispatch tactic; v5 tactics whose kernel id is unknown (a newer
-// writer) or not executable on this host degrade via normalize_tactic()
-// to the heuristic/scalar fallback instead of failing the load.
+// Tactics whose kernel id is unknown (a newer writer) or not executable
+// on this host degrade via normalize_tactic() to the heuristic/scalar
+// fallback instead of failing the load.
 //
 // Shapes are u32 rank + u32 dims; tensors are a shape + f32 data. A v3
-// file handed to load_frozen() (or a v4/v5 file handed to
+// file handed to load_frozen() (or a frozen file handed to
 // load_parameters()) is rejected with a message naming the right API,
-// not a cryptic mismatch. Loading revalidates structure (op kinds, slot
-// indices, geometry/shape agreement, activation-scale counts) so a
-// corrupt-but-CRC-valid file cannot build an out-of-bounds plan.
+// not a cryptic mismatch; a pre-tuner v4 frozen file is rejected with a
+// "re-freeze it with this build" error. Loading revalidates structure
+// (op kinds, slot indices, geometry/shape agreement, activation-scale
+// counts) so a corrupt-but-CRC-valid file cannot build an out-of-bounds
+// plan.
 
 #include <string>
 
@@ -49,12 +50,8 @@ void save_frozen(const FrozenModel& model, const std::string& path);
 [[nodiscard]] FrozenModel load_frozen(const std::string& path);
 
 /// In-memory round trip helpers (tests, remote transports). `source`
-/// labels the byte stream in error messages. `version` selects the
-/// container revision: 5 (default) carries per-op tactics + activation
-/// scales; 4 is the downgrade path for old readers and refuses plans a
-/// v4 reader would misinterpret (per-channel scales, 8-bit weights).
-[[nodiscard]] std::string serialize_frozen(const FrozenModel& model,
-                                           int version = 5);
+/// labels the byte stream in error messages.
+[[nodiscard]] std::string serialize_frozen(const FrozenModel& model);
 [[nodiscard]] FrozenModel deserialize_frozen(
     const std::string& bytes, const std::string& source = "<memory>");
 

@@ -17,7 +17,7 @@
 //                   bounded-queue backpressure, hosting either precision
 //   * registry.h  — versioned multi-model registry with the hot-reload
 //                   validation gauntlet (CRC, canary, rollback)
-//   * frozen_io.h — ship a compiled plan (v5 container, v4-read compat)
+//   * frozen_io.h — ship a compiled plan (HSWT v5 container)
 //                   to a serving host that never builds the live graph
 //
 // Typical deployment path: train/prune -> save_parameters -> (new process)

@@ -24,26 +24,19 @@ FrozenModel quantize(const FrozenModel& model, const Tensor& calibration,
                 shape_str(chw) + "], got " + shape_str(calibration.shape()));
 
     // Activation-scale calibration: one fp32 pass recording per-op input
-    // max-abs (and per-channel maxima for conv inputs when the
-    // per-channel scheme is on). The engine is temporary; its arena dies
-    // with this scope.
+    // max-abs (and per-channel maxima for conv inputs). The engine is
+    // temporary; its arena dies with this scope.
     std::vector<float> op_in_maxabs;
     std::vector<std::vector<float>> op_in_chan_maxabs;
     {
         auto fp32 = std::make_shared<const FrozenModel>(model);
         Engine engine(fp32, calibration.dim(0));
-        engine.run_calibrate(calibration, op_in_maxabs,
-                             opts.per_channel_acts ? &op_in_chan_maxabs
-                                                   : nullptr);
+        engine.run_calibrate(calibration, op_in_maxabs, op_in_chan_maxabs);
     }
 
     // Full 8-bit weights need a kernel whose accumulation is exact for
-    // them, and a committed tactic saying so; without tuning every op
-    // stays on the heuristic (7-bit) dispatch.
-    const int wbits =
-        opts.prefer_full_range && opts.tuner.enable && cpu_supports_vnni()
-            ? 8
-            : 7;
+    // them; the tuner then commits a tactic saying so.
+    const int wbits = cpu_supports_vnni() ? 8 : 7;
     const int qmax = wbits == 8 ? kWeightQMaxFull : kWeightQMax;
     Tuner tuner(opts.tuner);
 
@@ -61,19 +54,15 @@ FrozenModel quantize(const FrozenModel& model, const Tensor& calibration,
         // Per-channel activation scales (conv only): channel c of the
         // input quantizes with s_c; folding s_c into the weight columns
         // below makes the dequant factor qscale[f] alone (in_scale = 1).
-        const bool per_chan = is_conv && opts.per_channel_acts &&
-                              op.geom.channels > 0 &&
-                              !op_in_chan_maxabs.empty() &&
+        const bool per_chan = is_conv && op.geom.channels > 0 &&
                               !op_in_chan_maxabs[i].empty();
         if (per_chan) {
-            // Clamp each channel scale to chan_scale_floor of the
+            // Clamp each channel scale to kChanScaleFloor of the
             // per-tensor scale (see quantize.h: unclamped channel scales
             // trade saturation and folded-weight range spread for the
             // resolution win, and lose on balance).
             const std::vector<float>& chan = op_in_chan_maxabs[i];
-            const float floor_max =
-                op_in_maxabs[i] *
-                std::clamp(opts.chan_scale_floor, 0.0f, 1.0f);
+            const float floor_max = op_in_maxabs[i] * kChanScaleFloor;
             op.act_scales.resize(chan.size());
             for (std::size_t c = 0; c < chan.size(); ++c)
                 op.act_scales[c] = std::max(chan[c], floor_max) /
@@ -123,15 +112,10 @@ FrozenModel quantize(const FrozenModel& model, const Tensor& calibration,
         }
         // Tactic selection: measure the applicable kernel/tiling/
         // stacking candidates for this GEMM shape and commit the winner.
-        if (opts.tuner.enable) {
-            op.tactic = is_conv
-                            ? tuner.pick(f, op.geom.col_cols(), k_pad,
+        op.tactic = is_conv ? tuner.pick(f, op.geom.col_cols(), k_pad,
                                          wbits, /*can_stack=*/true)
                             : tuner.pick(f, opts.tuner.target_batch, k_pad,
                                          wbits, /*can_stack=*/false);
-        } else {
-            op.tactic = QGemmTactic{};  // heuristic dispatch, 7-bit
-        }
         op.weight = Tensor();      // int8 engine never reads fp32 weights
         op.transposed = false;     // qweight is row-major filter rows
     }

@@ -7,22 +7,23 @@
 //  * conv/FC weights get per-output-channel symmetric scales
 //    (s_w[f] = max|row_f| / qmax) and are packed row-major int8,
 //    GEMM-ready. qmax is 127 when the plan can run a full-range kernel
-//    (VNNI host, tuning on) and 63 otherwise — the maddubs reduced-range
+//    (VNNI host) and 63 otherwise — the maddubs reduced-range
 //    contract in tensor/gemm_int8.h. A transposed deep-layer conv
 //    (freeze.h) is repacked back to filter rows: the int8 dot-product
 //    kernel is shape-oblivious, so the fp32 repack trick has no int8
 //    counterpart.
 //  * the calibration batch runs once through the fp32 plan, recording
-//    max|x| of every op's input activation. By default conv inputs are
-//    quantized per input channel: channel c gets s_c = max|x_c| / 127,
-//    and s_c is folded into the weight columns (w̃[f,c,·] = w[f,c,·]·s_c)
-//    BEFORE weight quantization, so the engine's dequant factor stays a
+//    max|x| of every op's input activation. Conv inputs are quantized
+//    per input channel: channel c gets s_c = max|x_c| / 127 (floored at
+//    kChanScaleFloor of the per-tensor scale), and s_c is folded into
+//    the weight columns (w̃[f,c,·] = w[f,c,·]·s_c) BEFORE weight
+//    quantization, so the engine's dequant factor stays a
 //    single per-filter multiply (FrozenOp::in_scale == 1). That recovers
 //    the fidelity a shared per-tensor scale loses when channel dynamic
 //    ranges differ by orders of magnitude (the committed-baseline VGG
-//    argmax-agreement gap). Linears (and per_channel_acts = false) use
-//    the per-tensor v4 scheme: s_x = max|x| / 127. Inputs outside the
-//    calibrated range saturate — use a representative batch.
+//    argmax-agreement gap). Linears use one per-tensor scale:
+//    s_x = max|x| / 127. Inputs outside the calibrated range saturate —
+//    use a representative batch.
 //  * every conv/FC GEMM shape is handed to the freeze-time Tuner
 //    (tuner.h), which times the applicable kernel/tiling/batch-stacking
 //    candidates and records the winner in FrozenOp::tactic — serialized
@@ -42,37 +43,22 @@
 
 namespace hs::infer {
 
-struct QuantizeOptions {
-    /// Conv inputs: per-input-channel activation scales, folded into the
-    /// weights (see above). False: one per-tensor scale per op (v4).
-    bool per_channel_acts = true;
-    /// Floor on a channel's activation scale as a fraction of the op's
-    /// per-tensor scale. A raw per-channel scheme fails two ways on
-    /// channels whose calibration max is far below the tensor max: eval
-    /// values above the tight channel max saturate, and folding a tiny
-    /// s_c into the weights spreads the folded row's dynamic range so its
-    /// int8 quantization gets coarser for everyone else. Clamping
-    /// s_c >= floor · s_tensor caps both losses; 1.0 degenerates to the
-    /// per-tensor scheme, 0.0 is the unclamped per-channel scheme. 0.5
-    /// (≤2x per-channel resolution differential) measured best overall
-    /// on the bench_infer fidelity suite.
-    float chan_scale_floor = 0.5f;
-    /// Quantize weights to the full ±127 range when tuning is on and the
-    /// host has a full-range kernel (VNNI); otherwise ±63.
-    bool prefer_full_range = true;
-    /// Tactic selection. tuner.enable = false leaves every op on the
-    /// default heuristic tactic (kAuto, 1-way, 7-bit) without measuring.
-    TunerConfig tuner;
+/// Floor on a conv input channel's activation scale as a fraction of the
+/// op's per-tensor scale. A raw per-channel scheme fails two ways on
+/// channels whose calibration max is far below the tensor max: eval
+/// values above the tight channel max saturate, and folding a tiny s_c
+/// into the weights spreads the folded row's dynamic range so its int8
+/// quantization gets coarser for everyone else. Clamping
+/// s_c >= floor · s_tensor caps both losses; 1.0 would degenerate to the
+/// per-tensor scheme, 0.0 to the unclamped per-channel scheme. 0.5 (≤2x
+/// per-channel resolution differential) measured best overall on the
+/// bench_infer fidelity suite.
+inline constexpr float kChanScaleFloor = 0.5f;
 
-    /// The exact v4 recipe: per-tensor activation scales, 7-bit weights,
-    /// heuristic dispatch. Bit-compatible with pre-tuner plans.
-    [[nodiscard]] static QuantizeOptions v4() {
-        QuantizeOptions o;
-        o.per_channel_acts = false;
-        o.prefer_full_range = false;
-        o.tuner.enable = false;
-        return o;
-    }
+struct QuantizeOptions {
+    /// Tactic selection: the serving batch the plan is tuned for and an
+    /// optional injected cost model (tuner.h).
+    TunerConfig tuner;
 };
 
 /// Quantize `model` (must be Precision::kFloat32) using `calibration`

@@ -17,7 +17,7 @@
 // pushes the candidate through a validation gauntlet before any request
 // can see it:
 //
-//   read      load_frozen(path): v4 HSWT header + payload CRC-32 +
+//   read      load_frozen(path): v5 HSWT header + payload CRC-32 +
 //             structural revalidation (a corrupt-but-CRC-valid file
 //             cannot build an out-of-bounds plan)
 //   validate  geometry must match the incumbent (input_chw,
@@ -62,7 +62,7 @@
 namespace hs::infer {
 
 /// Wire-facing model identifier: one byte in the frame header, dense in
-/// add order, id 0 = the default model (what v1 clients get).
+/// add order, id 0 = the default model.
 inline constexpr std::size_t kMaxModels = 256;
 
 /// Snapshot of one registry entry. `model` keeps the snapshot alive no
@@ -129,7 +129,7 @@ public:
     [[nodiscard]] std::vector<ModelInfo> list() const;
     [[nodiscard]] std::size_t size() const;
 
-    /// Deploy: load a v4 frozen file, run the gauntlet against the
+    /// Deploy: load a frozen file, run the gauntlet against the
     /// incumbent, swap atomically on success, roll back on any failure.
     /// Never throws for a failed candidate — the ReloadResult says why.
     ReloadResult reload(const std::string& name, const std::string& path,

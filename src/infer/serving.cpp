@@ -121,46 +121,43 @@ void ServingEngine::spawn_worker_locked() {
 }
 
 void ServingEngine::fulfill_value(Request& req, Tensor&& out) {
-    if (req.done) {
-        AsyncOutcome outcome;
-        outcome.ok = true;
-        outcome.output = std::move(out);
-        req.done(std::move(outcome));
-    } else {
-        req.promise.set_value(std::move(out));
-    }
+    AsyncOutcome outcome;
+    outcome.ok = true;
+    outcome.output = std::move(out);
+    req.done(std::move(outcome));
 }
 
 void ServingEngine::fulfill_failure(Request& req, FailReason reason,
                                     const std::string& msg) {
-    if (req.done) {
-        AsyncOutcome outcome;
-        outcome.ok = false;
-        outcome.reason = reason;
-        outcome.error = msg;
-        req.done(std::move(outcome));
-    } else if (reason == FailReason::kDrained) {
-        req.promise.set_exception(
-            std::make_exception_ptr(RequestDrained(msg)));
-    } else {
-        req.promise.set_exception(
-            std::make_exception_ptr(DeadlineExceeded(msg)));
-    }
+    AsyncOutcome outcome;
+    outcome.reason = reason;
+    outcome.error = msg;
+    req.done(std::move(outcome));
 }
 
 SubmitResult ServingEngine::submit(Tensor image, const SubmitOptions& opts) {
-    return submit_impl(std::move(image), opts, Completion{});
+    // std::function needs a copyable target, so the promise is shared.
+    auto promise = std::make_shared<std::promise<Tensor>>();
+    std::future<Tensor> fut = promise->get_future();
+    SubmitResult result = submit(
+        std::move(image), opts, [promise](AsyncOutcome&& outcome) {
+            if (outcome.ok) {
+                promise->set_value(std::move(outcome.output));
+            } else if (outcome.reason == FailReason::kDrained) {
+                promise->set_exception(
+                    std::make_exception_ptr(RequestDrained(outcome.error)));
+            } else {
+                promise->set_exception(std::make_exception_ptr(
+                    DeadlineExceeded(outcome.error)));
+            }
+        });
+    if (result.accepted()) result.future = std::move(fut);
+    return result;
 }
 
 SubmitResult ServingEngine::submit(Tensor image, const SubmitOptions& opts,
                                    Completion done) {
-    require(static_cast<bool>(done), "callback submit needs a completion");
-    return submit_impl(std::move(image), opts, std::move(done));
-}
-
-SubmitResult ServingEngine::submit_impl(Tensor image,
-                                        const SubmitOptions& opts,
-                                        Completion done) {
+    require(static_cast<bool>(done), "submit needs a completion");
     // Start of the per-request trace: the admission decision itself is a
     // span, and the enqueue timestamp taken here anchors the request's
     // queue-wait span, which the worker closes when it lifts the request
@@ -196,8 +193,6 @@ SubmitResult ServingEngine::submit_impl(Tensor image,
     req.done = std::move(done);
     req.enqueue_ns = monotonic_ns();
     if (deadline_us > 0) req.deadline_ns = req.enqueue_ns + deadline_us * 1000;
-    std::future<Tensor> fut;
-    if (!req.done) fut = req.promise.get_future();
 
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -254,14 +249,7 @@ SubmitResult ServingEngine::submit_impl(Tensor image,
     }
     cv_.notify_one();
     result.admission = Admission::kAccepted;
-    if (fut.valid()) result.future = std::move(fut);
     return result;
-}
-
-std::optional<std::future<Tensor>> ServingEngine::submit(Tensor image) {
-    SubmitResult result = submit(std::move(image), SubmitOptions{});
-    if (!result.accepted()) return std::nullopt;
-    return std::move(result.future);
 }
 
 std::int64_t ServingEngine::drain(std::int64_t timeout_us) {
@@ -315,7 +303,7 @@ void ServingEngine::stop() {
     // here. But if every worker retired (engine build failure, watchdog
     // respawns racing stop) queued requests have no thread to run them —
     // fail them with the typed drain verdict rather than dropping their
-    // promises on the floor.
+    // completions on the floor.
     std::lock_guard<std::mutex> lock(mu_);
     for (auto& slot : queues_) {
         if (!slot) continue;
@@ -653,7 +641,7 @@ void ServingEngine::worker_loop(Worker* self) {
 
         const std::int64_t done_ns = monotonic_ns();
         {
-            // Record stats BEFORE fulfilling the promises: a client that
+            // Record stats BEFORE invoking the completions: a client that
             // returns from future.get() must already see its request in
             // stats() (completed, batches, latency percentiles).
             std::lock_guard<std::mutex> lock(mu_);

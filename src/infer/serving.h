@@ -228,21 +228,18 @@ public:
 
     /// Submit one image [C, H, W] (or [1, C, H, W]) with per-request
     /// options. Never blocks; the admission verdict says why a request was
-    /// not accepted. Throws hs::Error on a shape mismatch.
-    [[nodiscard]] SubmitResult submit(Tensor image, const SubmitOptions& opts);
-
-    /// Back-compat convenience: submit with default options; nullopt on
-    /// any non-accepted admission.
-    [[nodiscard]] std::optional<std::future<Tensor>> submit(Tensor image);
-
-    /// Callback flavor for event-driven callers (the hs::net TCP
-    /// front-end): instead of a future, `done` is invoked exactly once
-    /// with the output tensor or a typed failure. The returned
-    /// SubmitResult carries the admission verdict (its `future` member
-    /// stays empty); `done` is only retained when the verdict is
-    /// kAccepted. See Completion for the (strict) callback contract.
+    /// not accepted. `done` is invoked exactly once with the output tensor
+    /// or a typed failure, and is only retained when the verdict is
+    /// kAccepted (the returned `future` member stays empty). See
+    /// Completion for the (strict) callback contract. Throws hs::Error on
+    /// a shape mismatch or an empty `done`.
     [[nodiscard]] SubmitResult submit(Tensor image, const SubmitOptions& opts,
                                       Completion done);
+
+    /// Future flavor: a thin adapter over the callback submit. An
+    /// accepted request's future resolves with the output tensor, or
+    /// throws DeadlineExceeded (shed) / RequestDrained (drain, stop).
+    [[nodiscard]] SubmitResult submit(Tensor image, const SubmitOptions& opts);
 
     /// Graceful shutdown, phase 1: stop admitting (submits return
     /// kStopped) and wait until every accepted request has finished —
@@ -284,8 +281,7 @@ public:
 private:
     struct Request {
         Tensor image;
-        std::promise<Tensor> promise;  ///< used iff `done` is empty
-        Completion done;               ///< callback flavor; empty = future
+        Completion done;
         std::int64_t enqueue_ns = 0;
         std::int64_t deadline_ns = 0;  ///< 0 = no deadline
     };
@@ -306,8 +302,8 @@ private:
         std::string latency_metric;  ///< "serve.latency_us.<name>"
     };
 
-    /// Deliver a value / typed failure through whichever channel the
-    /// request carries (callback or promise), exactly once.
+    /// Deliver a value / typed failure to the request's completion,
+    /// exactly once.
     static void fulfill_value(Request& req, Tensor&& out);
     static void fulfill_failure(Request& req, FailReason reason,
                                 const std::string& msg);
@@ -325,10 +321,6 @@ private:
 
     void worker_loop(Worker* self);
     void watchdog_loop();
-    /// Shared body of the future- and callback-flavored submits.
-    [[nodiscard]] SubmitResult submit_impl(Tensor image,
-                                           const SubmitOptions& opts,
-                                           Completion done);
     /// Queue slot for a registry model, created on first use. Caller
     /// holds mu_.
     [[nodiscard]] ModelQueue* queue_for_locked(const ModelInfo& info);

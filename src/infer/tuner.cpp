@@ -31,7 +31,6 @@ void fill_operands(std::span<std::int8_t> a, std::span<std::uint8_t> b,
 
 Tuner::Tuner(TunerConfig cfg) : cfg_(std::move(cfg)) {
     if (cfg_.target_batch < 1) cfg_.target_batch = 1;
-    if (cfg_.reps < 1) cfg_.reps = 1;
 }
 
 std::vector<QGemmTactic> Tuner::candidates(int wbits, bool can_stack,
@@ -80,7 +79,7 @@ double Tuner::measure_real(const QGemmTactic& t, int m, int n, int k) {
                   t.wbits == 8 ? kWeightQMaxFull : kWeightQMax);
 
     double best_ns = 0.0;
-    for (int rep = 0; rep <= cfg_.reps; ++rep) {
+    for (int rep = 0; rep <= kTunerReps; ++rep) {
         const std::int64_t t0 = monotonic_ns();
         for (int r = 0; r < runs; ++r)
             qgemm(t, m, static_cast<int>(n_eff), k, {a_.data(), a_sz},
@@ -94,10 +93,6 @@ double Tuner::measure_real(const QGemmTactic& t, int m, int n, int k) {
 
 QGemmTactic Tuner::pick(std::int64_t m, std::int64_t n, std::int64_t k,
                         int wbits, bool can_stack) {
-    if (!cfg_.enable) {
-        QGemmTactic t;  // heuristic dispatch, 7-bit contract — v4 numerics
-        return t;
-    }
     for (const TunedShape& ts : table_)
         if (ts.m == m && ts.n == n && ts.k == k && ts.wbits == wbits &&
             ts.can_stack == can_stack)

@@ -3,7 +3,7 @@
 // Freeze-time kernel autotuner (DESIGN.md §14). quantize() hands every
 // conv/FC GEMM shape to a Tuner, which times each applicable tactic from
 // the catalog in tensor/gemm_int8.h — inner kernel (maddubs vs VNNI),
-// intra-op row partitioning (1/2/4-way TilePool fan-out), and, for
+// intra-op row partitioning (1/2/4-way TaskPool fan-out), and, for
 // convs, batch-stacked vs per-image execution — on synthetic operands,
 // and commits the fastest into the frozen plan (HSWT v5). This is the
 // measure-then-commit tactic selection TensorRT's builder and
@@ -20,7 +20,7 @@
 // the incumbent only on strictly smaller cost, so equal measurements
 // resolve identically. Tests (and any caller that wants reproducible
 // tables) inject a measurement hook via TunerConfig::measure; production
-// uses the real clock over best-of-`reps` runs. Results are cached per
+// uses the real clock over best-of-kTunerReps runs. Results are cached per
 // (m, n, k, wbits, can_stack), so identical layer shapes share one
 // measurement and always one tactic.
 
@@ -32,16 +32,15 @@
 
 namespace hs::infer {
 
+/// Timed repetitions per candidate (after one warm-up run); the best
+/// (minimum) wall time wins, which rejects scheduler noise better than
+/// the mean.
+inline constexpr int kTunerReps = 3;
+
 struct TunerConfig {
-    /// False: pick() returns the heuristic default without measuring —
-    /// the plan reproduces pre-tuner dispatch exactly.
-    bool enable = true;
     /// Serving batch size the plan is tuned for: batch-stacked conv
     /// candidates (and linear GEMM widths) are evaluated at this batch.
     int target_batch = 1;
-    /// Timed repetitions per candidate; the best (minimum) wall time
-    /// wins, which rejects scheduler noise better than the mean.
-    int reps = 3;
     /// Measurement hook: cost (ms, lower is better) of executing one
     /// batch with tactic `t` on a per-image m×n×k GEMM (t.batch_stack
     /// and target_batch describe how the batch is shaped). Null uses

@@ -49,23 +49,10 @@ const char* nack_reason_name(NackReason reason) {
 
 void append_frame(std::string& out, FrameType type, std::uint8_t flags,
                   std::uint64_t request_id, std::uint64_t deadline_us,
-                  std::string_view payload, std::uint8_t model_id,
-                  std::uint8_t version) {
-    require(version >= kMinProtocolVersion && version <= kProtocolVersion,
-            "append_frame: cannot encode protocol version " +
-                std::to_string(static_cast<int>(version)));
-    if (version < 2) {
-        // v1 had no model-id byte (reserved-zero) and no admin types;
-        // refusing here keeps "answer a v1 client in v1" honest.
-        require(model_id == 0,
-                "append_frame: nonzero model id needs protocol v2");
-        require(type == FrameType::kRequest || type == FrameType::kResponse ||
-                    type == FrameType::kNack,
-                "append_frame: admin frame types need protocol v2");
-    }
+                  std::string_view payload, std::uint8_t model_id) {
     out.reserve(out.size() + kHeaderBytes + payload.size());
     put<std::uint32_t>(out, kMagic);
-    put<std::uint8_t>(out, version);
+    put<std::uint8_t>(out, kProtocolVersion);
     put<std::uint8_t>(out, static_cast<std::uint8_t>(type));
     put<std::uint8_t>(out, flags);
     put<std::uint8_t>(out, model_id);
@@ -93,30 +80,25 @@ std::string encode_request(std::uint64_t request_id,
 
 std::string encode_response(std::uint64_t request_id, bool int8_flag,
                             std::span<const float> output,
-                            std::uint8_t model_id, std::uint8_t version) {
+                            std::uint8_t model_id) {
     std::string out;
     append_frame(out, FrameType::kResponse,
                  int8_flag ? kFlagInt8 : std::uint8_t{0}, request_id, 0,
                  std::string_view(
                      reinterpret_cast<const char*>(output.data()),
                      output.size() * sizeof(float)),
-                 version < 2 ? std::uint8_t{0} : model_id, version);
+                 model_id);
     return out;
 }
 
 std::string encode_nack(std::uint64_t request_id, NackReason reason,
-                        std::uint64_t retry_after_us, std::uint8_t version) {
-    // kUnknownModel did not exist in v1; the closest verdict an old
-    // client can parse is "your request is bad" (it is — for this server).
-    if (version < 2 && reason == NackReason::kUnknownModel)
-        reason = NackReason::kBadRequest;
+                        std::uint64_t retry_after_us) {
     std::string payload;
     put<std::uint16_t>(payload, static_cast<std::uint16_t>(reason));
     put<std::uint16_t>(payload, 0);  // reserved
     put<std::uint64_t>(payload, retry_after_us);
     std::string out;
-    append_frame(out, FrameType::kNack, 0, request_id, 0, payload, 0,
-                 version);
+    append_frame(out, FrameType::kNack, 0, request_id, 0, payload);
     return out;
 }
 
@@ -171,46 +153,29 @@ DecodeResult decode_frame(std::string_view buffer, Frame& out) {
     h.version = static_cast<std::uint8_t>(buffer[4]);
     const auto raw_type = static_cast<std::uint8_t>(buffer[5]);
     h.flags = static_cast<std::uint8_t>(buffer[6]);
-    const auto byte7 = static_cast<std::uint8_t>(buffer[7]);
+    h.model_id = static_cast<std::uint8_t>(buffer[7]);
     h.request_id = get<std::uint64_t>(buffer.data() + 8);
     h.deadline_us = get<std::uint64_t>(buffer.data() + 16);
     h.payload_len = get<std::uint32_t>(buffer.data() + 24);
     h.payload_crc = get<std::uint32_t>(buffer.data() + 28);
 
-    if (h.version < kMinProtocolVersion || h.version > kProtocolVersion) {
+    if (h.version != kProtocolVersion) {
         result.status = DecodeStatus::kBad;
         result.error = "unsupported protocol version " +
                        std::to_string(static_cast<int>(h.version)) +
                        " (this build speaks " +
-                       std::to_string(static_cast<int>(kMinProtocolVersion)) +
-                       ".." +
                        std::to_string(static_cast<int>(kProtocolVersion)) +
                        ")";
         return result;
     }
-    // v1 frames may only carry the original three types; admin frames
-    // arrived with v2.
-    const auto max_type = h.version >= 2
-                              ? static_cast<std::uint8_t>(
-                                    FrameType::kAdminResponse)
-                              : static_cast<std::uint8_t>(FrameType::kNack);
     if (raw_type < static_cast<std::uint8_t>(FrameType::kRequest) ||
-        raw_type > max_type) {
+        raw_type > static_cast<std::uint8_t>(FrameType::kAdminResponse)) {
         result.status = DecodeStatus::kBad;
         result.error =
-            "unknown frame type " + std::to_string(static_cast<int>(raw_type)) +
-            " for protocol version " +
-            std::to_string(static_cast<int>(h.version));
+            "unknown frame type " + std::to_string(static_cast<int>(raw_type));
         return result;
     }
     h.type = static_cast<FrameType>(raw_type);
-    if (h.version >= 2) {
-        h.model_id = byte7;  // the v1 reserved byte became the model id
-    } else if (byte7 != 0) {
-        result.status = DecodeStatus::kBad;
-        result.error = "nonzero reserved header byte";
-        return result;
-    }
     if (h.payload_len > kMaxPayload) {
         result.status = DecodeStatus::kBad;
         result.error = "oversized payload length " +

@@ -9,10 +9,10 @@
 //
 //   offset size field
 //        0    4 magic        "HSN1" (0x48 0x53 0x4E 0x31 on the wire)
-//        4    1 version      kProtocolVersion (2); v1 still accepted
+//        4    1 version      kProtocolVersion (2)
 //        5    1 type         FrameType (request / response / nack / admin)
 //        6    1 flags        bit 0: int8 precision requested/served
-//        7    1 model_id     registry wire id (v2); reserved-zero in v1
+//        7    1 model_id     registry wire id (0 = default model)
 //        8    8 request_id   caller-chosen correlation id, echoed back
 //       16    8 deadline_us  request budget from send, µs; 0 = none
 //       24    4 payload_len  bytes following the header (≤ kMaxPayload)
@@ -27,13 +27,11 @@
 //   * kHealth         empty (admin)
 //   * kAdminResponse  u8 ok + u8 reserved + UTF-8 text (result / health json)
 //
-// Versioning: v2 added the model-id byte and the admin frame types
-// (kReload / kHealth / kAdminResponse). Decoders accept both versions;
-// a v1 frame must keep byte 7 zero (it was reserved) and may only carry
-// types 1..3. The compatibility rule falls out of the layout: an old v1
-// client's reserved byte decodes as model_id 0 = the default model, and
-// the server answers it with v1 frames it can parse. Bump
-// kProtocolVersion for any further layout change.
+// Versioning: every encoder writes kProtocolVersion and decoders accept
+// only that version; any other version byte (including v1, which had no
+// model id and no admin frames) is a kBad decode — the server answers it
+// with a kBadRequest NACK and closes. Bump kProtocolVersion for any
+// layout change.
 //
 // The header CRC guards the tensor bytes end to end (a serving host
 // should never run inference on a bit-flipped image); length is bounded
@@ -54,9 +52,6 @@ namespace hs::net {
 /// "HSN1" read as a little-endian u32 (so the wire bytes spell it out).
 inline constexpr std::uint32_t kMagic = 0x314E5348u;
 inline constexpr std::uint8_t kProtocolVersion = 2;
-/// Oldest version this build still decodes (v1: no model id, no admin
-/// frames).
-inline constexpr std::uint8_t kMinProtocolVersion = 1;
 inline constexpr std::size_t kHeaderBytes = 32;
 /// Hard cap on payload_len: a frame longer than this is malformed, not
 /// merely large — readers must reject it without buffering it.
@@ -69,7 +64,7 @@ enum class FrameType : std::uint8_t {
     kRequest = 1,
     kResponse = 2,
     kNack = 3,
-    // Admin frames (v2+): deployment and introspection on the same
+    // Admin frames: deployment and introspection on the same
     // connection — no side-channel port to firewall separately.
     kReload = 4,         ///< client -> server: reload a named model
     kHealth = 5,         ///< client -> server: fleet health snapshot
@@ -85,7 +80,7 @@ enum class NackReason : std::uint16_t {
     kShedDeadline = 3,  ///< accepted, but the deadline expired in queue
     kDraining = 4,      ///< server shutting down (SIGTERM drain)
     kBadRequest = 5,    ///< malformed frame / wrong tensor shape
-    kUnknownModel = 6,  ///< model_id not in the server's registry (v2)
+    kUnknownModel = 6,  ///< model_id not in the server's registry
 };
 
 /// Decoded fixed-size frame header.
@@ -93,8 +88,7 @@ struct FrameHeader {
     std::uint8_t version = kProtocolVersion;
     FrameType type = FrameType::kRequest;
     std::uint8_t flags = 0;
-    /// Registry wire id of the target model; always 0 on a v1 frame (the
-    /// byte was reserved-zero, which is exactly the default model).
+    /// Registry wire id of the target model (0 = the default model).
     std::uint8_t model_id = 0;
     std::uint64_t request_id = 0;
     std::uint64_t deadline_us = 0;
@@ -142,26 +136,23 @@ struct AdminResponse {
 
 // --- Encoding -----------------------------------------------------------
 
-/// Append one frame (header + payload) to `out`. `version` lets a server
-/// answer a v1 client with frames it can parse; encoding a v2-only type
-/// or a nonzero model_id at version 1 throws.
+/// Append one frame (header + payload) to `out`.
 void append_frame(std::string& out, FrameType type, std::uint8_t flags,
                   std::uint64_t request_id, std::uint64_t deadline_us,
-                  std::string_view payload, std::uint8_t model_id = 0,
-                  std::uint8_t version = kProtocolVersion);
+                  std::string_view payload, std::uint8_t model_id = 0);
 
 [[nodiscard]] std::string encode_request(std::uint64_t request_id,
                                          std::uint64_t deadline_us,
                                          bool int8_flag,
                                          std::span<const float> input,
                                          std::uint8_t model_id = 0);
-[[nodiscard]] std::string encode_response(
-    std::uint64_t request_id, bool int8_flag, std::span<const float> output,
-    std::uint8_t model_id = 0, std::uint8_t version = kProtocolVersion);
+[[nodiscard]] std::string encode_response(std::uint64_t request_id,
+                                          bool int8_flag,
+                                          std::span<const float> output,
+                                          std::uint8_t model_id = 0);
 [[nodiscard]] std::string encode_nack(std::uint64_t request_id,
                                       NackReason reason,
-                                      std::uint64_t retry_after_us,
-                                      std::uint8_t version = kProtocolVersion);
+                                      std::uint64_t retry_after_us);
 [[nodiscard]] std::string encode_reload(std::uint64_t request_id,
                                         std::string_view name,
                                         std::string_view path);
@@ -187,8 +178,7 @@ struct DecodeResult {
 /// Try to decode one frame from the front of `buffer`. Incremental:
 /// returns kNeedMore on any valid-but-short prefix (including an empty
 /// buffer), kBad as soon as the prefix can never become a valid frame
-/// (wrong magic/version/type, nonzero reserved byte on a v1 frame,
-/// admin type on a v1 frame, oversized length, payload CRC mismatch).
+/// (wrong magic/version/type, oversized length, payload CRC mismatch).
 [[nodiscard]] DecodeResult decode_frame(std::string_view buffer, Frame& out);
 
 /// Interpret a decoded kNack frame's payload; nullopt if malformed.

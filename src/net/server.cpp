@@ -164,6 +164,12 @@ void Server::stop() {
     }
     admin_cv_.notify_all();
     if (admin_thread_.joinable()) admin_thread_.join();
+    // Engine completions capture `this` and touch in_flight_ after posting
+    // their reply: wait for the last one to return so the Server can be
+    // destroyed. The engine resolves every accepted request exactly once
+    // (stop() and drain() included), so this terminates.
+    while (in_flight_.load(std::memory_order_acquire) != 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
     listen_fd_.reset();
 }
 
@@ -357,9 +363,6 @@ bool Server::process_frames(EventLoop& loop, Conn& conn) {
         }
         conn.rbuf.erase(0, res.consumed);
 
-        // Every reply to this frame speaks the client's version, so a v1
-        // client never sees bytes it cannot parse.
-        const std::uint8_t wire_version = frame.header.version;
         const std::uint64_t req_id = frame.header.request_id;
 
         if (frame.header.type == FrameType::kHealth) {
@@ -402,8 +405,7 @@ bool Server::process_frames(EventLoop& loop, Conn& conn) {
             // Clients must only send requests; echoing garbage back and
             // forth helps nobody.
             queue_bytes(loop, conn,
-                        encode_nack(req_id, NackReason::kBadRequest, 0,
-                                    wire_version));
+                        encode_nack(req_id, NackReason::kBadRequest, 0));
             nacks_.fetch_add(1, std::memory_order_relaxed);
             continue;
         }
@@ -413,20 +415,18 @@ bool Server::process_frames(EventLoop& loop, Conn& conn) {
         if (draining_.load(std::memory_order_acquire) ||
             stopping_.load(std::memory_order_acquire)) {
             queue_bytes(loop, conn,
-                        encode_nack(req_id, NackReason::kDraining, 0,
-                                    wire_version));
+                        encode_nack(req_id, NackReason::kDraining, 0));
             nacks_.fetch_add(1, std::memory_order_relaxed);
             continue;
         }
         // Resolve the target model per frame — a hot swap between two
         // frames of one connection must route the second to the new
-        // snapshot. A v1 frame's model_id is always 0: the default model.
+        // snapshot.
         const std::uint8_t model_id = frame.header.model_id;
         const auto info = registry_->find_id(model_id);
         if (!info.has_value()) {
             queue_bytes(loop, conn,
-                        encode_nack(req_id, NackReason::kUnknownModel, 0,
-                                    wire_version));
+                        encode_nack(req_id, NackReason::kUnknownModel, 0));
             nacks_.fetch_add(1, std::memory_order_relaxed);
             obs::count("net.nacks");
             continue;
@@ -438,8 +438,7 @@ bool Server::process_frames(EventLoop& loop, Conn& conn) {
         if (frame.int8_flag() != model_int8 ||
             frame.payload.size() != want_bytes) {
             queue_bytes(loop, conn,
-                        encode_nack(req_id, NackReason::kBadRequest, 0,
-                                    wire_version));
+                        encode_nack(req_id, NackReason::kBadRequest, 0));
             nacks_.fetch_add(1, std::memory_order_relaxed);
             continue;
         }
@@ -456,8 +455,7 @@ bool Server::process_frames(EventLoop& loop, Conn& conn) {
         const std::uint64_t conn_id = conn.id;
         in_flight_.fetch_add(1, std::memory_order_acq_rel);
         auto completion = [this, loop_index, conn_id, req_id, model_int8,
-                           model_id,
-                           wire_version](infer::AsyncOutcome&& outcome) {
+                           model_id](infer::AsyncOutcome&& outcome) {
             // Runs on an engine worker (or inside the engine lock for
             // shed/drain) — encode and post to the owning loop's mailbox,
             // never touch the connection directly.
@@ -469,13 +467,13 @@ bool Server::process_frames(EventLoop& loop, Conn& conn) {
                     std::span<const float>(
                         outcome.output.data().data(),
                         static_cast<std::size_t>(outcome.output.numel())),
-                    model_id, wire_version);
+                    model_id);
             } else {
                 const NackReason reason =
                     outcome.reason == infer::FailReason::kDrained
                         ? NackReason::kDraining
                         : NackReason::kShedDeadline;
-                bytes = encode_nack(req_id, reason, 0, wire_version);
+                bytes = encode_nack(req_id, reason, 0);
                 is_nack = true;
             }
             post_completion(loop_index, conn_id, std::move(bytes), is_nack);
@@ -496,8 +494,7 @@ bool Server::process_frames(EventLoop& loop, Conn& conn) {
                         encode_nack(req_id, reason,
                                     static_cast<std::uint64_t>(
                                         std::max<std::int64_t>(
-                                            sr.retry_after_us, 0)),
-                                    wire_version));
+                                            sr.retry_after_us, 0))));
             nacks_.fetch_add(1, std::memory_order_relaxed);
             obs::count("net.nacks");
         }

@@ -31,9 +31,9 @@
 // each frame to a registry model — the server resolves the id per frame
 // (never caching a snapshot), validates shape/precision against that
 // model's current version, and NACKs an unregistered id with the typed
-// kUnknownModel. v1 clients keep working untouched: their reserved byte
-// decodes as model id 0 (the default model) and every reply to a v1
-// frame is encoded at v1.
+// kUnknownModel. Model id 0 is the default model. A frame of any other
+// protocol version fails to decode: it gets a kBadRequest NACK and the
+// connection closes.
 //
 // Admin frames ride the same connection: kHealth is answered inline from
 // engine stats (cheap, read-only); kReload is queued to a dedicated admin
@@ -119,8 +119,9 @@ public:
     /// when the server went fully quiescent within the timeout.
     bool drain(std::int64_t timeout_us);
 
-    /// Tear down: wake and join every thread, close every socket.
-    /// Responses still buffered get one best-effort flush. Idempotent.
+    /// Tear down: wake and join every thread, wait for outstanding engine
+    /// completions to return, close every socket. Responses still
+    /// buffered get one best-effort flush. Idempotent.
     void stop();
 
     [[nodiscard]] NetStats stats() const;

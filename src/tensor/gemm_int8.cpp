@@ -3,7 +3,7 @@
 #include <cmath>
 #include <cstring>
 
-#include "tensor/tile_pool.h"
+#include "tensor/task_pool.h"
 #include "util/error.h"
 
 #if defined(__AVX2__)
@@ -667,7 +667,7 @@ void qgemm(const QGemmTactic& t, int m, int n, int k,
                     static_cast<std::int64_t>(m) * n,
             "qgemm: span sizes too small for the given dimensions");
     QGemmTileCtx ctx{fn, m, n, k, ways, a.data(), b.data(), c.data()};
-    TilePool::instance().run(ways, qgemm_tile, &ctx);
+    TaskPool::instance().run(ways, qgemm_tile, &ctx);
 }
 
 void quantize_s8(std::span<const float> x, float inv_scale, int qmax,

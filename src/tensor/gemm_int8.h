@@ -98,7 +98,7 @@ enum class QKernel : std::uint8_t {
 };
 
 /// One dispatch decision for a conv/FC GEMM shape: inner kernel, intra-op
-/// row partitioning (TilePool fan-out), the weight range the plan was
+/// row partitioning (TaskPool fan-out), the weight range the plan was
 /// quantized to, and — for convs — whether im2row patch rows are stacked
 /// across the batch into one wide GEMM.
 struct QGemmTactic {
@@ -130,7 +130,7 @@ bool normalize_tactic(QGemmTactic& t);
 /// Tactic-dispatched GEMM: same contract as gemm_s8u8_bt (C(m×n) s32 =
 /// A(m×k, s8) · Bᵀ(n×k, u8 − 128)) but the inner kernel and row
 /// partitioning come from `t`. ways > 1 splits A's rows into contiguous
-/// chunks executed on the TilePool; every chunk runs the same kernel
+/// chunks executed on the shared TaskPool; every chunk runs the same kernel
 /// over the full reduction length, so the result is bit-identical to the
 /// 1-way run of the same kernel. The tactic is normalized on entry.
 void qgemm(const QGemmTactic& t, int m, int n, int k,

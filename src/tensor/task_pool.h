@@ -2,8 +2,8 @@
 
 // Shared persistent worker pool (DESIGN.md §15). Two very different fan-out
 // customers sit on top of this one primitive:
-//  * intra-op GEMM row tiling (tensor/tile_pool.h) — microsecond tasks on
-//    the serving hot path;
+//  * intra-op GEMM row tiling (qgemm in tensor/gemm_int8.h) — microsecond
+//    tasks on the serving hot path;
 //  * the pruning-search evaluation fan-out (core/search.h) — millisecond
 //    forward passes per Monte-Carlo action sample.
 //
@@ -11,10 +11,10 @@
 //  * zero allocation on the hot path — a Job lives on the submitting
 //    thread's stack and is linked into an intrusive FIFO; dispatch is a
 //    short critical section claiming one (job, index) pair at a time;
-//  * concurrent submitters do NOT serialize. The PR-9 TilePool ran one
-//    tiled op at a time behind a whole-run dispatch mutex, so concurrent
-//    tiled ops from several ServingEngine workers queued head-to-tail;
-//    here their index claims simply interleave in FIFO order;
+//  * concurrent submitters do NOT serialize. A whole-run dispatch mutex
+//    would queue concurrent tiled ops from several ServingEngine workers
+//    head-to-tail; here their index claims simply interleave in FIFO
+//    order;
 //  * the calling thread participates: it claims work like a pool thread
 //    (its own job's indices or, while those are taken, another job's —
 //    helping instead of spinning), so an n-task job on an otherwise idle

@@ -1,7 +1,8 @@
 // Int8 quantized inference: quantize() + the engine's kInt8 plan must
 // track the fp32 frozen path closely (argmax agreement, bounded logit
-// error) on VGG and ResNet; the v4 frozen-model container must round-trip
-// both precisions bit-exactly and reject corruption with located errors;
+// error) on VGG and ResNet; the v5 frozen-model container must round-trip
+// both precisions bit-exactly and reject corruption and pre-tuner v4
+// files with located errors;
 // and a ServingEngine must serve an int8 plan through the existing
 // batching/shedding/tracing machinery unchanged.
 
@@ -136,10 +137,9 @@ TEST(Quantize, ResNetInt8TracksFp32) {
 TEST(Quantize, TransposedDeepConvRepackedToFilterRows) {
     // A deep VGG plan compiles some convs `transposed` (oh·ow < F); the
     // int8 twin must repack those to filter-row qweights and clear the
-    // flag, with scales matching the fp32 filter rows. Quantized with
-    // the v4 recipe so the qscale check below (max|row| / 63, no
-    // activation-scale folding) stays a direct function of the fp32
-    // weights.
+    // flag, with scales matching the fp32 filter rows (after the
+    // per-input-channel activation-scale fold, over the op's weight
+    // range).
     models::VggConfig cfg;
     auto model = models::make_vgg16(cfg);
     const FrozenModel fp32 =
@@ -150,7 +150,7 @@ TEST(Quantize, TransposedDeepConvRepackedToFilterRows) {
         << "test premise broken: no transposed conv in the fp32 plan";
 
     const Tensor calib = random_batch(4, 3, cfg.input_size, 31);
-    const FrozenModel int8 = quantize(fp32, calib, QuantizeOptions::v4());
+    const FrozenModel int8 = quantize(fp32, calib);
     ASSERT_EQ(fp32.ops.size(), int8.ops.size());
     EXPECT_EQ(0, int8.tr_elems);
     for (std::size_t i = 0; i < int8.ops.size(); ++i) {
@@ -176,17 +176,25 @@ TEST(Quantize, TransposedDeepConvRepackedToFilterRows) {
                                      f * k_pad + j)]))
                     << "op " << i << " row " << f << " pad byte " << j;
         EXPECT_GT(qop.in_scale, 0.0f);
-        // Scale f must reproduce max|row_f| of the fp32 filter row.
+        // Scale f must reproduce max|row_f| of the fp32 filter row; conv
+        // columns are first folded with their input channel's activation
+        // scale.
+        const bool per_chan = fop.kind == OpKind::kConv;
+        const std::int64_t kk = static_cast<std::int64_t>(fop.geom.kernel) *
+                                fop.geom.kernel;
+        const float qmax = static_cast<float>(
+            qop.tactic.wbits == 8 ? kWeightQMaxFull : kWeightQMax);
         for (int f = 0; f < fop.out_channels; ++f) {
             float maxw = 0.0f;
             for (std::int64_t j = 0; j < cols; ++j) {
                 const std::int64_t idx =
                     fop.transposed ? j * fop.out_channels + f : f * cols + j;
-                maxw = std::max(
-                    maxw,
-                    std::fabs(fop.weight.data()[static_cast<std::size_t>(idx)]));
+                float v = fop.weight.data()[static_cast<std::size_t>(idx)];
+                if (per_chan)
+                    v *= qop.act_scales[static_cast<std::size_t>(j / kk)];
+                maxw = std::max(maxw, std::fabs(v));
             }
-            EXPECT_NEAR(maxw / 63.0f, qop.qscale[static_cast<std::size_t>(f)],
+            EXPECT_NEAR(maxw / qmax, qop.qscale[static_cast<std::size_t>(f)],
                         1e-6f)
                 << "op " << i << " channel " << f;
         }
@@ -333,16 +341,16 @@ TEST(FrozenIo, CrcFlipFuzzRejectsEveryDamagedCopy) {
 
 TEST(FrozenIo, CrossVersionFilesNameTheRightApi) {
     // A v3 training checkpoint fed to load_frozen must say "training
-    // checkpoint"; a v4 frozen model fed to load_parameters must say
+    // checkpoint"; a v5 frozen model fed to load_parameters must say
     // "frozen-model".
     models::VggConfig cfg;
     auto model = models::make_vgg16(cfg);
     const auto tmp = std::filesystem::temp_directory_path();
     const std::string v3_path = (tmp / "hs_cross_v3.bin").string();
-    const std::string v4_path = (tmp / "hs_cross_v4.bin").string();
+    const std::string v5_path = (tmp / "hs_cross_v5.bin").string();
     nn::save_parameters(model.net, v3_path);
     save_frozen(freeze(model.net, {3, cfg.input_size, cfg.input_size}),
-                v4_path);
+                v5_path);
 
     try {
         (void)load_frozen(v3_path);
@@ -353,15 +361,39 @@ TEST(FrozenIo, CrossVersionFilesNameTheRightApi) {
             << e.what();
     }
     try {
-        nn::load_parameters(model.net, v4_path);
-        FAIL() << "v4 file accepted by load_parameters";
+        nn::load_parameters(model.net, v5_path);
+        FAIL() << "v5 file accepted by load_parameters";
     } catch (const Error& e) {
         EXPECT_NE(std::string(e.what()).find("frozen-model"),
                   std::string::npos)
             << e.what();
     }
     std::remove(v3_path.c_str());
-    std::remove(v4_path.c_str());
+    std::remove(v5_path.c_str());
+}
+
+TEST(FrozenIo, V4FileFailsWithReFreezeError) {
+    // A pre-tuner v4 plan carries neither tactics nor activation scales;
+    // loading one must fail with one located error that says what to do,
+    // before the payload is even looked at.
+    std::string bytes("HSWT", 4);
+    for (const std::uint32_t v : {0x01020304u, 4u, 0u})  // tag, ver, crc
+        bytes.append(reinterpret_cast<const char*>(&v), 4);
+    const std::uint64_t payload_len = 0;
+    bytes.append(reinterpret_cast<const char*>(&payload_len), 8);
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "hs_frozen_v4.hswt")
+            .string();
+    atomic_write_file(path, bytes);
+    try {
+        (void)load_frozen(path);
+        ADD_FAILURE() << "v4 file accepted by load_frozen";
+    } catch (const Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(path), std::string::npos) << what;
+        EXPECT_NE(what.find("re-freeze"), std::string::npos) << what;
+    }
+    std::remove(path.c_str());
 }
 
 // ------------------------------------------------------------- serving
@@ -393,7 +425,7 @@ TEST(ServingInt8, ServesInt8ModelMatchingEngine) {
     for (int i = 0; i < kRequests; ++i) {
         images.push_back(Tensor(random_batch(
             1, 3, input_size, 600 + static_cast<std::uint64_t>(i))));
-        auto f = serving.submit(images.back());
+        auto f = serving.submit(images.back(), {}).future;
         ASSERT_TRUE(f.has_value());
         futures.push_back(std::move(*f));
     }
@@ -457,8 +489,9 @@ TEST(ServingInt8, RequestSpansSplitQueueWaitFromCompute) {
     constexpr int kRequests = 6;
     std::vector<std::future<Tensor>> futures;
     for (int i = 0; i < kRequests; ++i) {
-        auto f = serving.submit(
-            random_batch(1, 3, input_size, 80 + static_cast<std::uint64_t>(i)));
+        Tensor image = random_batch(1, 3, input_size,
+                                    80 + static_cast<std::uint64_t>(i));
+        auto f = serving.submit(std::move(image), {}).future;
         ASSERT_TRUE(f.has_value());
         futures.push_back(std::move(*f));
     }

@@ -42,7 +42,8 @@ TEST(Serving, MaxBatchFlush) {
 
     std::vector<std::future<Tensor>> futures;
     for (int i = 0; i < 4; ++i) {
-        auto fut = serving.submit(tagged_image(static_cast<float>(i + 1)));
+        auto fut =
+            serving.submit(tagged_image(static_cast<float>(i + 1)), {}).future;
         ASSERT_TRUE(fut.has_value());
         futures.push_back(std::move(*fut));
     }
@@ -64,8 +65,8 @@ TEST(Serving, MaxDelayFlush) {
     cfg.max_delay_us = 2000;
     ServingEngine serving(identity_model(), cfg);
 
-    auto a = serving.submit(tagged_image(5.0f));
-    auto b = serving.submit(tagged_image(6.0f));
+    auto a = serving.submit(tagged_image(5.0f), {}).future;
+    auto b = serving.submit(tagged_image(6.0f), {}).future;
     ASSERT_TRUE(a.has_value() && b.has_value());
     // Futures resolve without ever filling the batch: the delay fired.
     EXPECT_NEAR(a->get()[0], 5.0f, 1e-6f);
@@ -84,11 +85,11 @@ TEST(Serving, QueueBackpressure) {
     cfg.queue_capacity = 2;
     ServingEngine serving(identity_model(), cfg);
 
-    auto a = serving.submit(tagged_image(1.0f));
-    auto b = serving.submit(tagged_image(2.0f));
+    auto a = serving.submit(tagged_image(1.0f), {}).future;
+    auto b = serving.submit(tagged_image(2.0f), {}).future;
     ASSERT_TRUE(a.has_value() && b.has_value());
     // Third submit exceeds capacity while the worker is still gathering.
-    auto c = serving.submit(tagged_image(3.0f));
+    auto c = serving.submit(tagged_image(3.0f), {}).future;
     EXPECT_FALSE(c.has_value());
 
     serving.stop(); // drains the two accepted requests
@@ -111,7 +112,8 @@ TEST(Serving, ExactlyOnceUnderLoad) {
     std::vector<std::future<Tensor>> futures;
     futures.reserve(kRequests);
     for (int i = 0; i < kRequests; ++i) {
-        auto fut = serving.submit(tagged_image(static_cast<float>(i)));
+        auto fut =
+            serving.submit(tagged_image(static_cast<float>(i)), {}).future;
         ASSERT_TRUE(fut.has_value()) << "unexpected rejection at " << i;
         futures.push_back(std::move(*fut));
     }
@@ -137,13 +139,13 @@ TEST(Serving, StopDrainsAcceptedRequests) {
     cfg.max_delay_us = 10'000'000;
     ServingEngine serving(identity_model(), cfg);
 
-    auto fut = serving.submit(tagged_image(9.0f));
+    auto fut = serving.submit(tagged_image(9.0f), {}).future;
     ASSERT_TRUE(fut.has_value());
     serving.stop();
     // Accepted before stop() => still answered.
     EXPECT_NEAR(fut->get()[0], 9.0f, 1e-6f);
     // After stop() new submissions are rejected.
-    EXPECT_FALSE(serving.submit(tagged_image(1.0f)).has_value());
+    EXPECT_FALSE(serving.submit(tagged_image(1.0f), {}).future.has_value());
 }
 
 TEST(Serving, StatsSafeWithZeroCompletedRequests) {
@@ -168,7 +170,7 @@ TEST(Serving, StopIsIdempotent) {
     ServingEngine serving(identity_model(), ServingConfig{});
     serving.stop();
     serving.stop(); // second call must be an immediate no-op, not a hang
-    EXPECT_FALSE(serving.submit(tagged_image(1.0f)).has_value());
+    EXPECT_FALSE(serving.submit(tagged_image(1.0f), {}).future.has_value());
     // stats() after stop() on an idle engine is still safe.
     EXPECT_EQ(serving.stats().completed, 0);
     serving.stop();
@@ -225,7 +227,7 @@ TEST(Serving, DrainResolvesAcceptedWorkThenRejects) {
     cfg.max_delay_us = 1000;
     ServingEngine serving(identity_model(), cfg);
 
-    auto fut = serving.submit(tagged_image(8.0f));
+    auto fut = serving.submit(tagged_image(8.0f), {}).future;
     ASSERT_TRUE(fut.has_value());
     EXPECT_EQ(serving.drain(/*timeout_us=*/5'000'000), 0);
     EXPECT_NEAR(fut->get()[0], 8.0f, 1e-6f);
@@ -239,10 +241,12 @@ TEST(Serving, DrainResolvesAcceptedWorkThenRejects) {
 
 TEST(Serving, RejectsWrongShape) {
     ServingEngine serving(identity_model(), ServingConfig{});
-    EXPECT_THROW((void)serving.submit(Tensor({kChannels + 1, 2, 2})), Error);
-    EXPECT_THROW((void)serving.submit(Tensor({kChannels, 2})), Error);
+    EXPECT_THROW((void)serving.submit(Tensor({kChannels + 1, 2, 2}), {}),
+                 Error);
+    EXPECT_THROW((void)serving.submit(Tensor({kChannels, 2}), {}), Error);
     // [1, C, H, W] is accepted as a single image.
-    auto fut = serving.submit(Tensor::full({1, kChannels, 2, 2}, 3.0f));
+    auto fut =
+        serving.submit(Tensor::full({1, kChannels, 2, 2}, 3.0f), {}).future;
     ASSERT_TRUE(fut.has_value());
     EXPECT_NEAR(fut->get()[0], 3.0f, 1e-6f);
 }

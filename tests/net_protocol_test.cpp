@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "net/protocol.h"
-#include "util/error.h"
 
 namespace hs::net {
 namespace {
@@ -121,60 +120,36 @@ TEST(NetProtocol, UnsupportedVersionRejected) {
     EXPECT_NE(res.error.find("version"), std::string::npos);
 }
 
-TEST(NetProtocol, UnknownTypeAndReservedByteRejected) {
+TEST(NetProtocol, UnknownTypeRejected) {
     Frame frame;
     std::string bytes = encode_request(1, 0, false, ramp(4));
     bytes[5] = 9;  // not a FrameType
     EXPECT_EQ(decode_frame(bytes, frame).status, DecodeStatus::kBad);
-
-    // On a v1 frame byte 7 was reserved-zero; a v2 frame reads it as the
-    // model id instead.
-    bytes = encode_request(1, 0, false, ramp(4));
-    bytes[4] = 1;  // downgrade to v1
-    bytes[7] = 1;  // reserved must be zero in v1
-    EXPECT_EQ(decode_frame(bytes, frame).status, DecodeStatus::kBad);
 }
 
-// v1 <-> v2 interop: the v1 reserved byte became the v2 model id, so an
-// old client's frames route to model 0 and its replies stay v1-shaped.
-TEST(NetProtocol, VersionCompat) {
-    // A v2 request carries its model id through the round trip.
+// Every frame carries kProtocolVersion, and byte 7 is the model id.
+TEST(NetProtocol, VersionAndModelIdRoundTrip) {
     Frame frame;
-    auto res = decode_frame(encode_request(7, 100, false, ramp(4), 3), frame);
+    const auto res =
+        decode_frame(encode_request(7, 100, false, ramp(4), 3), frame);
     ASSERT_EQ(res.status, DecodeStatus::kOk);
-    EXPECT_EQ(frame.header.version, 2);
+    EXPECT_EQ(frame.header.version, kProtocolVersion);
     EXPECT_EQ(frame.header.model_id, 3);
+}
 
-    // A v1-encoded frame decodes with model id 0 (the default model).
-    std::string v1;
-    append_frame(v1, FrameType::kRequest, 0, 8, 0,
-                 std::string_view("\0\0\0\0", 4), 0, 1);
-    res = decode_frame(v1, frame);
-    ASSERT_EQ(res.status, DecodeStatus::kOk);
-    EXPECT_EQ(frame.header.version, 1);
-    EXPECT_EQ(frame.header.model_id, 0);
-
-    // Answering a v1 client: the model id is masked off a response and a
-    // kUnknownModel NACK downgrades to the v1-parsable kBadRequest.
-    res = decode_frame(encode_response(8, false, ramp(2), 5, 1), frame);
-    ASSERT_EQ(res.status, DecodeStatus::kOk);
-    EXPECT_EQ(frame.header.version, 1);
-    EXPECT_EQ(frame.header.model_id, 0);
-    res = decode_frame(encode_nack(8, NackReason::kUnknownModel, 0, 1), frame);
-    ASSERT_EQ(res.status, DecodeStatus::kOk);
-    const auto nack = parse_nack(frame);
-    ASSERT_TRUE(nack.has_value());
-    EXPECT_EQ(nack->reason, NackReason::kBadRequest);
-
-    // v2-only payloads cannot be encoded at v1, and a v1 frame cannot
-    // carry an admin type on the wire.
-    EXPECT_THROW(
-        { std::string out; append_frame(out, FrameType::kHealth, 0, 1, 0,
-                                        {}, 0, 1); },
-        Error);
-    std::string admin = encode_health(9);
-    admin[4] = 1;  // claim v1
-    EXPECT_EQ(decode_frame(admin, frame).status, DecodeStatus::kBad);
+// Only kProtocolVersion is spoken: a v1 frame (no model id, no admin
+// frames) is a corrupt stream, whatever its type.
+TEST(NetProtocol, V1FrameRejected) {
+    Frame frame;
+    for (std::string bytes : {encode_request(8, 0, false, ramp(4)),
+                              encode_nack(8, NackReason::kBadRequest, 0)}) {
+        bytes[4] = 1;
+        const auto res = decode_frame(bytes, frame);
+        EXPECT_EQ(res.status, DecodeStatus::kBad);
+        EXPECT_NE(res.error.find("unsupported protocol version 1"),
+                  std::string::npos)
+            << res.error;
+    }
 }
 
 TEST(NetProtocol, ReloadAndAdminRoundTrip) {

@@ -8,9 +8,9 @@
 //  * a mid-search kill + resume under workers=4 restores an identical
 //    trace prefix;
 //  * HS_FAULT search.worker=crash respawns lanes without losing samples;
-//  * the shared TaskPool runs every index exactly once, does not
-//    serialize concurrent submitters (the PR-9 TilePool bottleneck), and
-//    survives nested fan-outs.
+//  * the shared TaskPool runs every index exactly once (including the
+//    1/2/4-way GEMM tilings), does not serialize concurrent submitters,
+//    and survives nested fan-outs.
 
 #include <algorithm>
 #include <array>
@@ -409,27 +409,33 @@ TEST(SearchParallel, EvaluateParallelMatchesSequential) {
 // TaskPool contracts
 
 TEST(TaskPool, RunsEveryIndexExactlyOnce) {
-    constexpr int kTasks = 64;
-    std::array<std::atomic<int>, kTasks> hits{};
-    struct Ctx {
-        std::array<std::atomic<int>, kTasks>* hits;
-    } ctx{&hits};
-    TaskPool::instance().run(
-        kTasks,
-        [](void* p, int i) {
-            (*static_cast<Ctx*>(p)->hits)[static_cast<std::size_t>(i)]
-                .fetch_add(1);
-        },
-        &ctx);
-    for (int i = 0; i < kTasks; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+    // 1/2/4 are the qgemm row tilings; 64 is a search-sized fan-out.
+    constexpr int kMaxTasks = 64;
+    using Hits = std::array<std::atomic<int>, kMaxTasks>;
+    for (const int tasks : {1, 2, 4, kMaxTasks}) {
+        Hits hits{};
+        TaskPool::instance().run(
+            tasks,
+            [](void* p, int i) {
+                (*static_cast<Hits*>(p))[static_cast<std::size_t>(i)]
+                    .fetch_add(1);
+            },
+            &hits);
+        for (int i = 0; i < kMaxTasks; ++i)
+            EXPECT_EQ(i < tasks ? 1 : 0,
+                      hits[static_cast<std::size_t>(i)].load())
+                << "tasks=" << tasks << " index=" << i;
+    }
+    // A 4-way run needs only 3 pool threads; the caller is the fourth.
+    EXPECT_GE(TaskPool::instance().workers(), 3);
 }
 
 TEST(TaskPool, ConcurrentSubmittersDoNotSerialize) {
     // Job A's task 0 blocks until job B (submitted from another thread
-    // while A is in flight) has run. Under the PR-9 TilePool — one
-    // dispatch mutex held across a whole operation — B could never start
-    // while A was in flight and this test would deadlock; the TaskPool
-    // FIFO interleaves the two jobs.
+    // while A is in flight) has run. Under one dispatch mutex held across
+    // a whole operation, B could never start while A was in flight and
+    // this test would deadlock; the TaskPool FIFO interleaves the two
+    // jobs.
     std::atomic<bool> a_started{false};
     std::atomic<bool> b_done{false};
     struct Ctx {

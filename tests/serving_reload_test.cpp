@@ -9,7 +9,7 @@
 // serving. The remaining tests disarm faults first and pin down the
 // deterministic behaviors: clean swap + version gauge, injected canary
 // rollback with a flight dump, corrupt-file rollback, kUnknownModel
-// NACKs, v1 wire compatibility, admin health, per-model routing, and
+// NACKs, v1-frame rejection, admin health, per-model routing, and
 // client reconnect across a server restart.
 
 #include <atomic>
@@ -20,6 +20,8 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 #include <vector>
 
@@ -328,43 +330,45 @@ TEST_F(ServingReloadTest, MultiModelRoutingAndUnknownModelNack) {
     engine.stop();
 }
 
-// A v1 client (hand-encoded frames, reserved byte zero) keeps working
-// against the v2 server and gets v1-shaped replies back.
-TEST_F(ServingReloadTest, V1WireCompatibility) {
+// A v1 client's frame is not decoded at all: the server answers with a
+// single kBadRequest NACK and closes the connection.
+TEST_F(ServingReloadTest, V1FrameGetsBadRequestThenClose) {
     fault::disarm();
     infer::ServingEngine engine(identity_model(), fast_config());
     Server server(engine, ServerConfig{});
     server.start();
 
     ScopedFd fd = connect_tcp("127.0.0.1", server.port());
-    const std::vector<float> input = tagged_input(6.0f);
-    std::string bytes;
-    append_frame(bytes, FrameType::kRequest, 0, /*request_id=*/42,
-                 /*deadline_us=*/0,
-                 std::string_view(reinterpret_cast<const char*>(input.data()),
-                                  input.size() * sizeof(float)),
-                 /*model_id=*/0, /*version=*/1);
+    std::string bytes = encode_request(42, 0, false, tagged_input(6.0f));
+    bytes[4] = 1;  // protocol v1
     write_all(fd.get(), bytes.data(), bytes.size());
 
+    // Read until the server closes: exactly one frame must have arrived.
+    // The receive timeout turns a server that keeps the connection open
+    // into a test failure instead of a hang.
+    const timeval timeout{5, 0};
+    ASSERT_EQ(0, ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                              sizeof(timeout)));
     std::string rbuf;
     char chunk[4096];
-    Frame frame;
     for (;;) {
-        const DecodeResult res = decode_frame(rbuf, frame);
-        if (res.status == DecodeStatus::kOk) break;
-        ASSERT_EQ(res.status, DecodeStatus::kNeedMore) << res.error;
         const ssize_t got = ::read(fd.get(), chunk, sizeof(chunk));
-        ASSERT_GT(got, 0);
+        if (got <= 0) break;
         rbuf.append(chunk, static_cast<std::size_t>(got));
     }
-    EXPECT_EQ(frame.header.version, 1);
-    EXPECT_EQ(frame.header.type, FrameType::kResponse);
-    EXPECT_EQ(frame.header.request_id, 42u);
-    EXPECT_EQ(frame.header.model_id, 0);
-    EXPECT_NEAR(frame.floats().at(0), 6.0f, 1e-4f);
+    Frame frame;
+    const DecodeResult res = decode_frame(rbuf, frame);
+    ASSERT_EQ(res.status, DecodeStatus::kOk) << res.error;
+    EXPECT_EQ(res.consumed, rbuf.size());
+    EXPECT_EQ(frame.header.type, FrameType::kNack);
+    const auto nack = parse_nack(frame);
+    ASSERT_TRUE(nack.has_value());
+    EXPECT_EQ(nack->reason, NackReason::kBadRequest);
 
     server.stop();
     engine.stop();
+    EXPECT_EQ(server.stats().bad_frames, 1);
+    EXPECT_EQ(server.stats().frames_in, 0);
 }
 
 // A rolling server restart is invisible to call(): the client re-dials

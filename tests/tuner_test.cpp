@@ -1,14 +1,13 @@
 // Freeze-time kernel autotuning (DESIGN.md §14): the Tuner must pick
 // tactics deterministically from an injected cost model and never time a
 // tactic this host cannot execute; tuned plans must round-trip the v5
-// frozen container (and refuse v4 where the recipe does not fit),
-// degrade unknown tactic bytes to the heuristic instead of failing the
-// load, and — because every catalog kernel is a bit-exact int32 GEMM —
-// produce identical engine outputs no matter which tiling won. The
-// TilePool fan-out is exercised under concurrent ServingEngine batches
-// and registry hot-swaps, which is the TSan target for the worker pool.
+// frozen container, degrade unknown tactic bytes to the heuristic
+// instead of failing the load, and — because every catalog kernel is a
+// bit-exact int32 GEMM — produce identical engine outputs no matter
+// which tiling won. Multi-way tiling on the shared TaskPool is exercised under
+// concurrent ServingEngine batches and registry hot-swaps, which is the
+// TSan target for the worker pool.
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <future>
@@ -25,7 +24,6 @@
 #include "nn/sequential.h"
 #include "tensor/gemm_int8.h"
 #include "tensor/rng.h"
-#include "tensor/tile_pool.h"
 #include "util/error.h"
 
 namespace hs::infer {
@@ -141,23 +139,6 @@ TEST(Tuner, CandidateCatalogRespectsWeightContract) {
         EXPECT_FALSE(t.batch_stack);
 }
 
-TEST(Tuner, DisabledTunerSkipsMeasurementAndKeepsHeuristicDispatch) {
-    int calls = 0;
-    TunerConfig cfg;
-    cfg.enable = false;
-    cfg.measure = [&calls](const QGemmTactic&, int, int, int) {
-        ++calls;
-        return 1.0;
-    };
-    Tuner tuner(cfg);
-    const QGemmTactic t = tuner.pick(32, 32, 32, 7, true);
-    EXPECT_EQ(0, calls);
-    EXPECT_TRUE(tuner.table().empty());
-    EXPECT_EQ(QKernel::kAuto, t.kernel);  // pre-tuner heuristic dispatch
-    EXPECT_EQ(1, t.ways);
-    EXPECT_FALSE(t.batch_stack);
-}
-
 TEST(FrozenV5, RoundTripPreservesTacticsAndActScales) {
     const FrozenModel fp32 = tiny_conv_frozen();
     QuantizeOptions opts;
@@ -200,34 +181,6 @@ TEST(FrozenV5, RoundTripPreservesTacticsAndActScales) {
     ASSERT_EQ(want.numel(), got.numel());
     for (std::size_t i = 0; i < want.data().size(); ++i)
         EXPECT_EQ(want.data()[i], got.data()[i]);
-}
-
-TEST(FrozenV5, V4WriteRefusesRecipesThatDoNotFit) {
-    const FrozenModel fp32 = tiny_conv_frozen();
-    const Tensor calib = random_batch(4, 2, 4, 21);
-
-    // The default recipe carries per-channel activation scales (and
-    // 8-bit weights on VNNI hosts): not representable as v4.
-    const FrozenModel tuned = quantize(fp32, calib);
-    EXPECT_THROW((void)serialize_frozen(tuned, 4), Error);
-
-    // The v4 recipe round-trips through both container versions and
-    // yields the same engine outputs either way.
-    const FrozenModel legacy = quantize(fp32, calib, QuantizeOptions::v4());
-    const FrozenModel via5 =
-        deserialize_frozen(serialize_frozen(legacy, 5), "legacy-v5.bin");
-    const FrozenModel via4 =
-        deserialize_frozen(serialize_frozen(legacy, 4), "legacy-v4.bin");
-    const Tensor x = random_batch(2, 2, 4, 22);
-    const Tensor want =
-        Engine(std::make_shared<const FrozenModel>(legacy), 2).run(x);
-    for (const FrozenModel* m : {&via5, &via4}) {
-        const Tensor got =
-            Engine(std::make_shared<const FrozenModel>(*m), 2).run(x);
-        ASSERT_EQ(want.numel(), got.numel());
-        for (std::size_t i = 0; i < want.data().size(); ++i)
-            EXPECT_EQ(want.data()[i], got.data()[i]);
-    }
 }
 
 TEST(FrozenV5, UnknownTacticByteDegradesToExecutableFallback) {
@@ -292,29 +245,7 @@ TEST(EngineTactics, TilingWaysDoNotChangeOutputs) {
             << "tiling changed output " << i;
 }
 
-struct PartCtx {
-    std::array<std::atomic<int>, TilePool::kMaxWays> hits{};
-};
-
-void mark_part(void* ctx, int part) {
-    static_cast<PartCtx*>(ctx)->hits[static_cast<std::size_t>(part)]
-        .fetch_add(1);
-}
-
-TEST(TilePool, RunsEveryPartitionExactlyOnce) {
-    for (const int ways : {1, 2, 4}) {
-        PartCtx ctx;
-        TilePool::instance().run(ways, &mark_part, &ctx);
-        for (int p = 0; p < TilePool::kMaxWays; ++p)
-            EXPECT_EQ(p < ways ? 1 : 0, ctx.hits[static_cast<std::size_t>(
-                                            p)].load())
-                << "ways=" << ways << " part=" << p;
-    }
-    // A 4-way run needs only 3 pool threads; the caller is worker 3.
-    EXPECT_GE(TilePool::instance().workers(), TilePool::kMaxWays - 1);
-}
-
-TEST(TilePool, ConcurrentTiledServingAndHotReloads) {
+TEST(EngineTactics, ConcurrentTiledServingAndHotReloads) {
     // The TSan leg's main course: several ServingEngine workers running
     // 4-way tiled GEMMs through the shared pool while the registry
     // gauntlet (its own Engines, same pool) hot-swaps the model.
@@ -356,7 +287,7 @@ TEST(TilePool, ConcurrentTiledServingAndHotReloads) {
     for (int i = 0; i < kRequests; ++i) {
         images.push_back(Tensor(random_batch(
             1, 3, input_size, 700 + static_cast<std::uint64_t>(i))));
-        auto f = serving.submit(images.back());
+        auto f = serving.submit(images.back(), {}).future;
         ASSERT_TRUE(f.has_value());
         futures.push_back(std::move(*f));
     }
