@@ -244,7 +244,6 @@ int main(int argc, char** argv) {
     infer::ServingConfig serve_cfg;
     serve_cfg.workers = 2;
     serve_cfg.max_batch = 8;
-    serve_cfg.max_delay_us = 1000;
     serve_cfg.queue_capacity = 256;
     infer::ServingEngine engine(registry, serve_cfg);
     net::ServerConfig net_cfg;  // loopback, ephemeral port, 2 loops
@@ -275,10 +274,9 @@ int main(int argc, char** argv) {
         warm_us += (monotonic_ns() - t0) / 1000;
     }
     warm_us /= kWarmup;
-    // SLO: generous multiple of the unloaded latency (micro-batching adds
-    // up to max_delay_us on top), floored so CI jitter can't flake it.
-    const std::int64_t slo_us = std::max<std::int64_t>(
-        50'000, 20 * warm_us + serve_cfg.max_delay_us);
+    // SLO: generous multiple of the unloaded latency, floored so CI
+    // jitter can't flake it.
+    const std::int64_t slo_us = std::max<std::int64_t>(50'000, 20 * warm_us);
     // Start well under one-at-a-time capacity; the ramp finds the rest.
     double rate = std::max(4.0, 0.25 * 1e6 / static_cast<double>(warm_us));
     std::printf("unloaded latency ~%lld us; SLO p99 <= %.1f ms; "
@@ -419,7 +417,6 @@ int main(int argc, char** argv) {
         w.begin_object();
         w.key("workers"); w.value(serve_cfg.workers);
         w.key("max_batch"); w.value(serve_cfg.max_batch);
-        w.key("max_delay_us"); w.value(serve_cfg.max_delay_us);
         w.key("queue_capacity"); w.value(serve_cfg.queue_capacity);
         w.key("event_loops"); w.value(net_cfg.event_loops);
         w.end_object();

@@ -6,7 +6,7 @@
 //
 //   serve_pruned [--smoke] [--int8] [--json <path>] [--weights <path>]
 //                [--requests N] [--rps R] [--workers N] [--batch N]
-//                [--delay-us N] [--deadline-us N] [--watchdog-us N]
+//                [--deadline-us N] [--watchdog-us N]
 //                [--retries N] [--listen] [--port N]
 //                [--connect host:port] [--models name=path,...]
 //
@@ -80,7 +80,6 @@ struct Options {
     double rps = 500.0;
     int workers = 2;
     int max_batch = 8;
-    std::int64_t delay_us = 2000;
     std::int64_t deadline_us = 0;   ///< per-request deadline; 0 = none
     std::int64_t watchdog_us = 0;   ///< worker watchdog timeout; 0 = off
     int retries = 6;                ///< submit attempts after a rejection
@@ -112,8 +111,6 @@ Options parse_options(int argc, char** argv) {
             opt.workers = std::atoi(value(i));
         else if (std::strcmp(argv[i], "--batch") == 0)
             opt.max_batch = std::atoi(value(i));
-        else if (std::strcmp(argv[i], "--delay-us") == 0)
-            opt.delay_us = std::atol(value(i));
         else if (std::strcmp(argv[i], "--deadline-us") == 0)
             opt.deadline_us = std::atol(value(i));
         else if (std::strcmp(argv[i], "--watchdog-us") == 0)
@@ -137,7 +134,6 @@ Options parse_options(int argc, char** argv) {
         opt.rps = 2000.0;
         opt.workers = 2;
         opt.max_batch = 4;
-        opt.delay_us = 500;
         opt.deadline_us = 500'000; // generous: smoke asserts completions
         opt.watchdog_us = 250'000;
     }
@@ -408,7 +404,6 @@ int main(int argc, char** argv) {
     infer::ServingConfig serve_cfg;
     serve_cfg.workers = opt.workers;
     serve_cfg.max_batch = opt.max_batch;
-    serve_cfg.max_delay_us = opt.delay_us;
     serve_cfg.queue_capacity = 4 * opt.max_batch * opt.workers;
     serve_cfg.default_deadline_us = opt.deadline_us;
     serve_cfg.watchdog_timeout_us = opt.watchdog_us;
@@ -510,8 +505,6 @@ int main(int argc, char** argv) {
     report.set_config("rps", opt.rps);
     report.set_config("workers", static_cast<std::int64_t>(opt.workers));
     report.set_config("max_batch", static_cast<std::int64_t>(opt.max_batch));
-    report.set_config("max_delay_us",
-                      static_cast<std::int64_t>(opt.delay_us));
     report.set_config("deadline_us",
                       static_cast<std::int64_t>(opt.deadline_us));
     report.set_config("watchdog_us",

@@ -49,7 +49,6 @@ ServingEngine::ServingEngine(std::shared_ptr<ModelRegistry> registry,
             "ServingEngine needs a registry with at least one model");
     require(cfg_.workers >= 1, "ServingEngine needs at least one worker");
     require(cfg_.max_batch >= 1, "ServingEngine max_batch must be >= 1");
-    require(cfg_.max_delay_us >= 0, "ServingEngine max_delay_us must be >= 0");
     require(cfg_.queue_capacity >= 1,
             "ServingEngine queue_capacity must be >= 1");
     require(cfg_.default_deadline_us >= 0,
@@ -224,10 +223,8 @@ SubmitResult ServingEngine::submit(Tensor image, const SubmitOptions& opts,
             obs::count("serve.rejected");
             result.admission = Admission::kQueueFull;
             // Hint: roughly the time one queued request takes to drain.
-            result.retry_after_us = std::max<std::int64_t>(
-                static_cast<std::int64_t>(ewma_req_ms_ * 1000.0 /
-                                          cfg_.workers),
-                cfg_.max_delay_us);
+            result.retry_after_us = static_cast<std::int64_t>(
+                ewma_req_ms_ * 1000.0 / cfg_.workers);
             return result;
         }
         if (deadline_us > 0) {
@@ -510,7 +507,8 @@ void ServingEngine::worker_loop(Worker* self) {
             // A retired worker never takes new queue work — its
             // replacement owns the queues now.
             if (self->retired.load(std::memory_order_relaxed)) return;
-            shed_expired_locked(monotonic_ns());
+            gather_start_ns = monotonic_ns();
+            shed_expired_locked(gather_start_ns);
             mq = pick_queue_locked();
             if (mq == nullptr) {
                 // Stopping with drained queues: exit. Otherwise keep
@@ -518,24 +516,10 @@ void ServingEngine::worker_loop(Worker* self) {
                 if (stopping_) return;
                 continue;
             }
-            // Micro-batch gather on the picked model's queue: wait for a
-            // full batch or until the oldest request's delay budget
-            // expires, whichever is first.
-            gather_start_ns = monotonic_ns();
-            const std::int64_t gather_deadline_ns =
-                mq->queue.front().enqueue_ns + cfg_.max_delay_us * 1000;
-            while (!stopping_ &&
-                   !self->retired.load(std::memory_order_relaxed) &&
-                   mq->queue.size() <
-                       static_cast<std::size_t>(cfg_.max_batch)) {
-                const std::int64_t now = monotonic_ns();
-                if (now >= gather_deadline_ns) break;
-                cv_.wait_for(lock, std::chrono::nanoseconds(gather_deadline_ns -
-                                                            now));
-                shed_expired_locked(monotonic_ns());
-                if (mq->queue.empty()) break; // another worker took the batch
-            }
-            if (mq->queue.empty()) continue;
+            // Work-conserving dispatch: a free worker lifts whatever the
+            // picked queue holds, up to max_batch, without waiting for
+            // more. Batches grow only from requests that arrived while
+            // every worker was busy — an idle worker never sits on work.
             const std::size_t take = std::min(
                 mq->queue.size(), static_cast<std::size_t>(cfg_.max_batch));
             for (std::size_t i = 0; i < take; ++i) {
@@ -549,7 +533,6 @@ void ServingEngine::worker_loop(Worker* self) {
             self->busy.store(true, std::memory_order_relaxed);
             ++in_flight_batches_;  // drain() waits for this to hit zero
         }
-        if (batch.empty()) continue;
 
         // Resolve the model snapshot AFTER the lift, outside the engine
         // lock: the reload gauntlet guarantees geometry never changes, so

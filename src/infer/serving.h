@@ -2,11 +2,13 @@
 
 // Batch-serving runtime over the frozen engine. A ServingEngine owns a
 // pool of worker threads, each with its own Engines (private arenas), fed
-// from per-model bounded request queues. Workers gather dynamic
-// micro-batches: a batch is flushed as soon as `max_batch` requests are
-// waiting on one model, or when the oldest queued request has waited
-// `max_delay_us` — the standard latency/throughput trade (larger batches
-// amortize the GEMM, the delay cap bounds tail latency).
+// from per-model bounded request queues. Dispatch is work-conserving: a
+// free worker lifts whatever the picked model's queue holds, up to
+// `max_batch`, the moment it is free — it never holds a partial batch
+// open waiting for more. A lone request therefore runs at batch 1 with
+// no queueing delay, and batches grow only under backlog, from requests
+// that arrived while every worker was busy (adaptive batching: the GEMM
+// is amortized exactly when the load needs it).
 //
 // Fleet serving: the engine hosts every model in its ModelRegistry (a
 // single-model convenience constructor wraps one FrozenModel into a
@@ -136,8 +138,10 @@ using Completion = std::function<void(AsyncOutcome&&)>;
 
 struct ServingConfig {
     int workers = 2;           ///< worker threads (one Engine each)
-    int max_batch = 8;         ///< flush when this many requests are queued
-    std::int64_t max_delay_us = 2000;  ///< flush when the oldest waits this long
+    int max_batch = 8;         ///< most requests one worker lifts at once
+    /// No effect: dispatch is work-conserving, so no batch is held open
+    /// waiting for more requests. Kept so existing configs still compile.
+    std::int64_t max_delay_us = 0;
     int queue_capacity = 64;   ///< submit() rejects beyond this depth
     /// Deadline for submits that don't carry their own; 0 = no deadline.
     std::int64_t default_deadline_us = 0;

@@ -71,7 +71,10 @@ void TaskPool::run(int n, void (*fn)(void*, int), void* ctx) {
         head_ = &job;
     }
     tail_ = &job;
-    work_cv_.notify_all();
+    // Wake one pool thread per task beyond the caller's own, not the whole
+    // pool: a 2-way row split on the serving path must not rouse every
+    // thread a wider fan-out once spawned.
+    for (int i = 1; i < n; ++i) work_cv_.notify_one();
     // Participate until our job is fully done. While any queue entry is
     // claimable — ours first in FIFO order, another submitter's otherwise —
     // help execute it; once everything claimable is taken, sleep until a

@@ -158,7 +158,6 @@ TEST_F(FlightRecorderTest, WatchdogRestartDumpsSpansPrecedingRestart) {
     infer::ServingConfig cfg;
     cfg.workers = 1;
     cfg.max_batch = 2;
-    cfg.max_delay_us = 1000;
     cfg.queue_capacity = 64;
     cfg.watchdog_timeout_us = 50'000;
     infer::ServingEngine serving(model, cfg);

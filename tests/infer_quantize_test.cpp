@@ -451,7 +451,6 @@ TEST(ServingInt8, SheddingHarnessUnchangedUnderInjectedStall) {
     ServingConfig cfg;
     cfg.workers = 1;
     cfg.max_batch = 2;
-    cfg.max_delay_us = 10'000;
     ServingEngine serving(int8, cfg);
     fault::arm("serving.worker=delay:300000");
 
@@ -484,7 +483,6 @@ TEST(ServingInt8, RequestSpansSplitQueueWaitFromCompute) {
     ServingConfig cfg;
     cfg.workers = 1;
     cfg.max_batch = 2;
-    cfg.max_delay_us = 1'000;
     ServingEngine serving(int8, cfg);
     constexpr int kRequests = 6;
     std::vector<std::future<Tensor>> futures;

@@ -1,5 +1,6 @@
-// Serving-runtime semantics: micro-batch flush on both the max_batch and
-// max_delay paths, bounded-queue backpressure, exactly-once delivery under
+// Serving-runtime semantics: work-conserving dispatch (an idle worker
+// takes a lone request at once; batches grow only under backlog, capped
+// at max_batch), bounded-queue backpressure, exactly-once delivery under
 // multi-threaded load, and lifecycle/validation edges.
 
 #include <chrono>
@@ -7,10 +8,12 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "fault/fault.h"
 #include "infer/infer.h"
 #include "models/vgg.h"
 #include "nn/pooling.h"
@@ -33,13 +36,66 @@ std::shared_ptr<const FrozenModel> identity_model() {
 
 Tensor tagged_image(float id) { return Tensor::full({kChannels, 2, 2}, id); }
 
-TEST(Serving, MaxBatchFlush) {
+class Serving : public ::testing::Test {
+protected:
+    void TearDown() override { fault::disarm(); }
+};
+
+// Backlog builder: stall the single worker on a one-request "plug" batch
+// (only the first batch sleeps) and return once the worker has lifted it,
+// so every request submitted within the next `kPlugStallUs` queues behind
+// it deterministically.
+constexpr std::int64_t kPlugStallUs = 150'000;
+
+std::future<Tensor> plug_worker(ServingEngine& serving) {
+    fault::arm("serving.worker=delay:" + std::to_string(kPlugStallUs) + "#1");
+    auto plug = serving.submit(tagged_image(-1.0f), {}).future;
+    if (!plug.has_value()) {
+        ADD_FAILURE() << "plug request rejected";
+        return {};
+    }
+    const auto give_up = std::chrono::steady_clock::now() +
+                         std::chrono::seconds(5);
+    for (;;) {
+        const ServingStats s = serving.stats();
+        if (!s.models.empty() && s.models[0].queued == 0) break;
+        if (std::chrono::steady_clock::now() > give_up) {
+            ADD_FAILURE() << "worker never lifted the plug request";
+            break;
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    return std::move(*plug);
+}
+
+// An idle worker runs a lone request right away: no partial batch is held
+// open waiting for company, whatever max_delay_us says.
+TEST_F(Serving, IdleWorkerDispatchesImmediately) {
+    ServingConfig cfg;
+    cfg.workers = 1;
+    cfg.max_batch = 64; // never reached
+    cfg.max_delay_us = 10'000'000; // no effect: dispatch never waits
+    ServingEngine serving(identity_model(), cfg);
+
+    auto fut = serving.submit(tagged_image(5.0f), {}).future;
+    ASSERT_TRUE(fut.has_value());
+    ASSERT_EQ(fut->wait_for(std::chrono::seconds(1)),
+              std::future_status::ready);
+    EXPECT_NEAR(fut->get()[0], 5.0f, 1e-6f);
+    const ServingStats stats = serving.stats();
+    EXPECT_EQ(stats.completed, 1);
+    EXPECT_EQ(stats.batches, 1);
+}
+
+// Requests that arrive while the worker is busy leave together: a backlog
+// of exactly max_batch is lifted as one full batch.
+TEST_F(Serving, MaxBatchFlush) {
     ServingConfig cfg;
     cfg.workers = 1;
     cfg.max_batch = 4;
-    cfg.max_delay_us = 10'000'000; // effectively never flush on delay
     ServingEngine serving(identity_model(), cfg);
 
+    auto plug = plug_worker(serving);
     std::vector<std::future<Tensor>> futures;
     for (int i = 0; i < 4; ++i) {
         auto fut =
@@ -47,64 +103,81 @@ TEST(Serving, MaxBatchFlush) {
         ASSERT_TRUE(fut.has_value());
         futures.push_back(std::move(*fut));
     }
+    EXPECT_NEAR(plug.get()[0], -1.0f, 1e-6f);
     for (int i = 0; i < 4; ++i) {
         const Tensor out = futures[static_cast<std::size_t>(i)].get();
         EXPECT_NEAR(out[0], static_cast<float>(i + 1), 1e-6f);
     }
     const ServingStats stats = serving.stats();
-    EXPECT_EQ(stats.completed, 4);
-    // The full batch flushed at once — the delay path never fired.
-    EXPECT_EQ(stats.batches, 1);
-    EXPECT_DOUBLE_EQ(stats.mean_batch, 4.0);
+    EXPECT_EQ(stats.completed, 5);
+    // The plug ran alone; the four queued behind it went as one batch.
+    EXPECT_EQ(stats.batches, 2);
+    EXPECT_DOUBLE_EQ(stats.mean_batch, 2.5);
 }
 
-TEST(Serving, MaxDelayFlush) {
+// A backlog longer than max_batch drains in max_batch-sized chunks, and
+// the partial tail leaves at once instead of waiting to fill.
+TEST_F(Serving, BatchGrowsUnderBacklog) {
     ServingConfig cfg;
     cfg.workers = 1;
-    cfg.max_batch = 64; // never reached
-    cfg.max_delay_us = 2000;
+    cfg.max_batch = 4;
+    cfg.max_delay_us = 10'000'000; // no effect: the tail never waits
+    cfg.queue_capacity = 64;
     ServingEngine serving(identity_model(), cfg);
 
-    auto a = serving.submit(tagged_image(5.0f), {}).future;
-    auto b = serving.submit(tagged_image(6.0f), {}).future;
-    ASSERT_TRUE(a.has_value() && b.has_value());
-    // Futures resolve without ever filling the batch: the delay fired.
-    EXPECT_NEAR(a->get()[0], 5.0f, 1e-6f);
-    EXPECT_NEAR(b->get()[0], 6.0f, 1e-6f);
+    constexpr int kQueued = 10;
+    auto plug = plug_worker(serving);
+    std::vector<std::future<Tensor>> futures;
+    for (int i = 0; i < kQueued; ++i) {
+        auto fut =
+            serving.submit(tagged_image(static_cast<float>(i)), {}).future;
+        ASSERT_TRUE(fut.has_value());
+        futures.push_back(std::move(*fut));
+    }
+    (void)plug.get();
+    for (int i = 0; i < kQueued; ++i) {
+        ASSERT_EQ(futures[static_cast<std::size_t>(i)].wait_for(
+                      std::chrono::seconds(1)),
+                  std::future_status::ready)
+            << "request " << i;
+        EXPECT_NEAR(futures[static_cast<std::size_t>(i)].get()[0],
+                    static_cast<float>(i), 1e-6f);
+    }
     const ServingStats stats = serving.stats();
-    EXPECT_EQ(stats.completed, 2);
-    EXPECT_GE(stats.batches, 1);
-    EXPECT_GE(stats.p50_ms, 0.0);
+    EXPECT_EQ(stats.completed, kQueued + 1);
+    // Plug alone, then 4 + 4 + 2: the fewest batches max_batch allows.
+    EXPECT_EQ(stats.batches, 1 + (kQueued + cfg.max_batch - 1) / cfg.max_batch);
 }
 
-TEST(Serving, QueueBackpressure) {
+TEST_F(Serving, QueueBackpressure) {
     ServingConfig cfg;
     cfg.workers = 1;
     cfg.max_batch = 8;
-    cfg.max_delay_us = 10'000'000; // worker holds the gather open
     cfg.queue_capacity = 2;
     ServingEngine serving(identity_model(), cfg);
 
+    auto plug = plug_worker(serving);
     auto a = serving.submit(tagged_image(1.0f), {}).future;
     auto b = serving.submit(tagged_image(2.0f), {}).future;
     ASSERT_TRUE(a.has_value() && b.has_value());
-    // Third submit exceeds capacity while the worker is still gathering.
-    auto c = serving.submit(tagged_image(3.0f), {}).future;
-    EXPECT_FALSE(c.has_value());
+    // Third submit exceeds capacity while the worker is still busy.
+    const auto c = serving.submit(tagged_image(3.0f), {});
+    EXPECT_EQ(c.admission, Admission::kQueueFull);
+    EXPECT_FALSE(c.future.has_value());
 
-    serving.stop(); // drains the two accepted requests
+    serving.stop(); // drains the accepted requests
+    EXPECT_NEAR(plug.get()[0], -1.0f, 1e-6f);
     EXPECT_NEAR(a->get()[0], 1.0f, 1e-6f);
     EXPECT_NEAR(b->get()[0], 2.0f, 1e-6f);
     const ServingStats stats = serving.stats();
-    EXPECT_EQ(stats.completed, 2);
+    EXPECT_EQ(stats.completed, 3);
     EXPECT_EQ(stats.rejected, 1);
 }
 
-TEST(Serving, ExactlyOnceUnderLoad) {
+TEST_F(Serving, ExactlyOnceUnderLoad) {
     ServingConfig cfg;
     cfg.workers = 4;
     cfg.max_batch = 3;
-    cfg.max_delay_us = 200;
     cfg.queue_capacity = 1024;
     ServingEngine serving(identity_model(), cfg);
 
@@ -132,11 +205,10 @@ TEST(Serving, ExactlyOnceUnderLoad) {
     EXPECT_GT(stats.throughput_rps, 0.0);
 }
 
-TEST(Serving, StopDrainsAcceptedRequests) {
+TEST_F(Serving, StopDrainsAcceptedRequests) {
     ServingConfig cfg;
     cfg.workers = 2;
     cfg.max_batch = 16;
-    cfg.max_delay_us = 10'000'000;
     ServingEngine serving(identity_model(), cfg);
 
     auto fut = serving.submit(tagged_image(9.0f), {}).future;
@@ -148,7 +220,7 @@ TEST(Serving, StopDrainsAcceptedRequests) {
     EXPECT_FALSE(serving.submit(tagged_image(1.0f), {}).future.has_value());
 }
 
-TEST(Serving, StatsSafeWithZeroCompletedRequests) {
+TEST_F(Serving, StatsSafeWithZeroCompletedRequests) {
     // Percentiles over an empty latency set must be well-defined zeros,
     // not a divide-by-zero or an out-of-range index.
     ServingEngine serving(identity_model(), ServingConfig{});
@@ -166,7 +238,7 @@ TEST(Serving, StatsSafeWithZeroCompletedRequests) {
     EXPECT_DOUBLE_EQ(stats.throughput_rps, 0.0);
 }
 
-TEST(Serving, StopIsIdempotent) {
+TEST_F(Serving, StopIsIdempotent) {
     ServingEngine serving(identity_model(), ServingConfig{});
     serving.stop();
     serving.stop(); // second call must be an immediate no-op, not a hang
@@ -179,11 +251,10 @@ TEST(Serving, StopIsIdempotent) {
 // Callback submit flavor (the TCP front-end's path): the completion fires
 // exactly once per accepted request with that request's own output, and
 // the SubmitResult never carries a future.
-TEST(Serving, CallbackSubmitDeliversExactlyOnce) {
+TEST_F(Serving, CallbackSubmitDeliversExactlyOnce) {
     ServingConfig cfg;
     cfg.workers = 2;
     cfg.max_batch = 3;
-    cfg.max_delay_us = 200;
     cfg.queue_capacity = 256;
     ServingEngine serving(identity_model(), cfg);
 
@@ -220,11 +291,10 @@ TEST(Serving, CallbackSubmitDeliversExactlyOnce) {
 
 // drain(): stops admitting, resolves accepted work, and reports zero
 // requests failed when everything fit in the timeout.
-TEST(Serving, DrainResolvesAcceptedWorkThenRejects) {
+TEST_F(Serving, DrainResolvesAcceptedWorkThenRejects) {
     ServingConfig cfg;
     cfg.workers = 1;
     cfg.max_batch = 4;
-    cfg.max_delay_us = 1000;
     ServingEngine serving(identity_model(), cfg);
 
     auto fut = serving.submit(tagged_image(8.0f), {}).future;
@@ -239,7 +309,7 @@ TEST(Serving, DrainResolvesAcceptedWorkThenRejects) {
     EXPECT_EQ(serving.stats().drained, 0);
 }
 
-TEST(Serving, RejectsWrongShape) {
+TEST_F(Serving, RejectsWrongShape) {
     ServingEngine serving(identity_model(), ServingConfig{});
     EXPECT_THROW((void)serving.submit(Tensor({kChannels + 1, 2, 2}), {}),
                  Error);

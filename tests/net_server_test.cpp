@@ -46,7 +46,6 @@ infer::ServingConfig fast_config() {
     infer::ServingConfig cfg;
     cfg.workers = 2;
     cfg.max_batch = 4;
-    cfg.max_delay_us = 500;
     cfg.queue_capacity = 256;
     return cfg;
 }
@@ -252,7 +251,6 @@ TEST_F(NetServerTest, ShedDeadlineBecomesTypedNack) {
     infer::ServingConfig cfg;
     cfg.workers = 1;
     cfg.max_batch = 1;
-    cfg.max_delay_us = 500;
     cfg.queue_capacity = 64;
     infer::ServingEngine engine(identity_model(), cfg);
     Server server(engine, ServerConfig{});

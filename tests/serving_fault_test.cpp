@@ -44,7 +44,6 @@ TEST_F(ServingFaultTest, DeadlineSheddingUnderSlowWorker) {
     ServingConfig cfg;
     cfg.workers = 1;
     cfg.max_batch = 4;
-    cfg.max_delay_us = 20'000;
     cfg.queue_capacity = 64;
     ServingEngine serving(identity_model(), cfg);
 
@@ -100,7 +99,6 @@ TEST_F(ServingFaultTest, ExactlyOnceAcrossWorkerRestart) {
     ServingConfig cfg;
     cfg.workers = 1;
     cfg.max_batch = 2;
-    cfg.max_delay_us = 1000;
     cfg.queue_capacity = 64;
     cfg.watchdog_timeout_us = 50'000;
     ServingEngine serving(identity_model(), cfg);
@@ -136,7 +134,6 @@ TEST_F(ServingFaultTest, StopWhileQueueFullAndIdempotent) {
     ServingConfig cfg;
     cfg.workers = 1;
     cfg.max_batch = 2;
-    cfg.max_delay_us = 1000;
     cfg.queue_capacity = 2;
     ServingEngine serving(identity_model(), cfg);
 
@@ -185,7 +182,6 @@ TEST_F(ServingFaultTest, EngineAllocFailureDegradesGracefully) {
     ServingConfig cfg;
     cfg.workers = 2;
     cfg.max_batch = 2;
-    cfg.max_delay_us = 1000;
     ServingEngine serving(model, cfg);
 
     std::vector<std::future<Tensor>> futures;
@@ -210,7 +206,6 @@ TEST_F(ServingFaultTest, DrainExpiryFailsQueuedRemainder) {
     ServingConfig cfg;
     cfg.workers = 1;
     cfg.max_batch = 1;
-    cfg.max_delay_us = 1000;
     cfg.queue_capacity = 64;
     ServingEngine serving(identity_model(), cfg);
 
@@ -275,7 +270,6 @@ TEST_F(ServingFaultTest, OverloadAdmissionUsesServiceEstimate) {
     ServingConfig cfg;
     cfg.workers = 1;
     cfg.max_batch = 4;
-    cfg.max_delay_us = 1000;
     cfg.queue_capacity = 64;
     ServingEngine serving(identity_model(), cfg);
 

@@ -79,7 +79,6 @@ infer::ServingConfig fast_config() {
     infer::ServingConfig cfg;
     cfg.workers = 2;
     cfg.max_batch = 4;
-    cfg.max_delay_us = 500;
     cfg.queue_capacity = 4096;
     return cfg;
 }
