@@ -174,47 +174,25 @@ void reapply_widths(models::VggModel& model, const std::vector<int>& widths,
     }
 }
 
-/// A checkpoint captured in memory (model bytes + rendered state), ready
-/// for the disk commit. Splitting capture from commit lets the pipelined
-/// layer loop serialize synchronously — freezing the exact post-fine-tune
-/// weights — and overlap the two atomic writes with the next layer's
-/// search. Commits of successive layers never overlap (the loop joins the
-/// previous commit first), so the model-file-then-state write order that
-/// crash recovery depends on also holds across layers.
-struct CheckpointImage {
-    std::string dir;
-    std::string model_file;
-    std::string model_bytes;
-    std::string state_text;
-    int next_layer = 0;
-};
-
-CheckpointImage render_checkpoint(const std::string& dir,
-                                  models::VggModel& model, int next_layer,
-                                  const std::vector<pruning::LayerTrace>& trace) {
+/// Commit the checkpoint after layer next_layer-1: model file first, then
+/// state.txt flips to it (the write order crash recovery relies on).
+void write_checkpoint(const std::string& dir, models::VggModel& model,
+                      int next_layer,
+                      const std::vector<pruning::LayerTrace>& trace) {
     ResumeState st;
     st.next_layer = next_layer;
     st.model_file = "model_layer_" + std::to_string(next_layer - 1) + ".bin";
     st.widths = conv_widths(model);
     st.trace = trace;
-    CheckpointImage image;
-    image.dir = dir;
-    image.model_file = st.model_file;
-    image.model_bytes = nn::serialize_parameters(model.net);
-    image.state_text = render_state(st);
-    image.next_layer = next_layer;
-    return image;
-}
-
-void commit_checkpoint(const CheckpointImage& image) {
-    atomic_write_file(image.dir + "/" + image.model_file, image.model_bytes);
-    atomic_write_file(state_path(image.dir), image.state_text);
+    atomic_write_file(dir + "/" + st.model_file,
+                      nn::serialize_parameters(model.net));
+    atomic_write_file(state_path(dir), render_state(st));
     // The previous layer's model file is now unreferenced; removing it is
     // best-effort (a crash right here just leaves a harmless orphan).
-    if (image.next_layer >= 2)
-        std::remove((image.dir + "/model_layer_" +
-                     std::to_string(image.next_layer - 2) + ".bin")
-                        .c_str());
+    if (next_layer >= 2)
+        std::remove(
+            (dir + "/model_layer_" + std::to_string(next_layer - 2) + ".bin")
+                .c_str());
 }
 
 } // namespace
@@ -295,34 +273,9 @@ HeadStartResult headstart_prune_vgg(models::VggModel& model,
     }
     result.start_layer = start_layer;
 
-    // Software pipeline (workers > 1, DESIGN.md §15): while layer i
-    // fine-tunes, three weight-independent jobs overlap it — the
-    // inception-accuracy evaluation (on a deep snapshot of the
-    // post-surgery weights), ActionSearch::prepare() of layer i+1 (policy
-    // init + iteration-0 rollouts depend only on seeds), and the previous
-    // layer's checkpoint disk commit. The barrier sits exactly where layer
-    // i+1's policy gradient starts depending on the tuned weights: its
-    // acc_orig evaluation. workers == 1 keeps the historical fully
-    // sequential schedule (and bit-identical obs ordering).
-    const bool pipelined = config.workers > 1;
-    std::future<void> checkpoint_future;
-    auto join_checkpoint = [&] {
-        if (!checkpoint_future.valid()) return;
-        Stopwatch stall;
-        checkpoint_future.get();  // rethrows injected write faults
-        obs::observe_hdr_us("search.pipeline_stall_us",
-                            static_cast<std::int64_t>(stall.seconds() * 1e6));
-    };
-    std::future<std::unique_ptr<ActionSearch::Prepared>> prepared_future;
-
-    auto layer_search_config = [&](int layer) {
-        SearchConfig search = config.search;
-        search.workers = config.workers;
-        search.seed = config.seed * 131 + static_cast<std::uint64_t>(layer);
-        search.label = model.conv_names[static_cast<std::size_t>(layer)];
-        return search;
-    };
-
+    // One schedule at every worker count (DESIGN.md §15): acc_orig →
+    // search on `workers` lanes → surgery → fine-tune, with the inception
+    // evaluation overlapping the fine-tune → acc_finetuned → checkpoint.
     for (int i = start_layer; i < last; ++i) {
         obs::Span layer_span("headstart.layer", "pruning");
         Stopwatch layer_watch;
@@ -335,20 +288,16 @@ HeadStartResult headstart_prune_vgg(models::VggModel& model,
         const double acc_orig =
             std::max(nn::evaluate_batch(model.net, reward_batch), 1e-3);
 
-        std::unique_ptr<ActionSearch::Prepared> prepared;
-        if (prepared_future.valid()) {
-            Stopwatch stall;
-            prepared = prepared_future.get();
-            obs::observe_hdr_us(
-                "search.pipeline_stall_us",
-                static_cast<std::int64_t>(stall.seconds() * 1e6));
-        }
+        SearchConfig search = config.search;
+        search.workers = config.workers;
+        search.seed = config.seed * 131 + static_cast<std::uint64_t>(i);
+        search.label = model.conv_names[static_cast<std::size_t>(i)];
         ActionSearch driver(
             maps_before,
             make_layer_evaluator_factory(
                 model.net, model.conv_indices[static_cast<std::size_t>(i)],
                 reward_batch),
-            acc_orig, layer_search_config(i), std::move(prepared));
+            acc_orig, search);
         const SearchResult sr = driver.run();
         conv.clear_output_mask();
 
@@ -360,33 +309,15 @@ HeadStartResult headstart_prune_vgg(models::VggModel& model,
         trace.maps_after = static_cast<int>(sr.keep.size());
         trace.search_iterations = sr.iterations;
 
-        std::future<double> inception_future;
-        if (pipelined) {
-            // Snapshot the post-surgery weights; the evaluation runs on the
-            // snapshot while fine-tuning mutates the live net. Per-image
-            // forwards are batch- and schedule-independent, so the value is
-            // bit-identical to evaluating the live net before fine-tuning.
-            auto snapshot = std::make_shared<nn::Sequential>(model.net);
-            inception_future =
-                std::async(std::launch::async, [snapshot, &dataset] {
-                    return nn::evaluate(*snapshot, dataset.test());
-                });
-            if (i + 1 < last) {
-                const int next_maps =
-                    model.net
-                        .layer_as<nn::Conv2d>(
-                            model.conv_indices[static_cast<std::size_t>(i + 1)])
-                        .out_channels();  // surgery on layer i never changes it
-                const SearchConfig next_config = layer_search_config(i + 1);
-                prepared_future =
-                    std::async(std::launch::async, [next_maps, next_config] {
-                        return ActionSearch::prepare(next_maps, next_config);
-                    });
-            }
-        } else {
-            trace.acc_inception =
-                nn::evaluate_parallel(model.net, dataset.test(), config.workers);
-        }
+        // The inception accuracy runs on a snapshot of the post-surgery
+        // weights while fine-tuning mutates the live net. Per-image forwards
+        // are batch- and schedule-independent, so the value is bit-identical
+        // to evaluating the live net before fine-tuning.
+        auto snapshot = std::make_shared<nn::Sequential>(model.net);
+        std::future<double> inception_future =
+            std::async(std::launch::async, [snapshot, &dataset] {
+                return nn::evaluate(*snapshot, dataset.test());
+            });
 
         // Fine-tune with divergence protection: a NaN/Inf loss rolls the
         // layer back to its post-surgery weights and retries with a
@@ -423,7 +354,7 @@ HeadStartResult headstart_prune_vgg(models::VggModel& model,
                      std::to_string(config.max_finetune_retries + 1) +
                      " times — keeping surgery, skipping fine-tune");
         }
-        if (inception_future.valid()) {
+        {
             Stopwatch stall;
             trace.acc_inception = inception_future.get();
             obs::observe_hdr_us(
@@ -438,22 +369,8 @@ HeadStartResult headstart_prune_vgg(models::VggModel& model,
         trace.flops = report.flops;
         result.trace.push_back(trace);
 
-        if (!config.checkpoint_dir.empty()) {
-            // Previous commit must land before this one starts: keeps the
-            // model-file-then-state atomic-write order crash recovery (and
-            // the fault-injection hit numbering) relies on.
-            join_checkpoint();
-            CheckpointImage image = render_checkpoint(config.checkpoint_dir,
-                                                      model, i + 1,
-                                                      result.trace);
-            if (pipelined) {
-                checkpoint_future = std::async(
-                    std::launch::async,
-                    [image = std::move(image)] { commit_checkpoint(image); });
-            } else {
-                commit_checkpoint(image);
-            }
-        }
+        if (!config.checkpoint_dir.empty())
+            write_checkpoint(config.checkpoint_dir, model, i + 1, result.trace);
 
         if (obs::enabled()) {
             obs::count("headstart.layers_pruned");
@@ -482,7 +399,6 @@ HeadStartResult headstart_prune_vgg(models::VggModel& model,
                  " ft=" + std::to_string(trace.acc_finetuned));
     }
 
-    join_checkpoint();
     const auto report = models::summarize(model.net, input_chw);
     result.params = report.params;
     result.flops = report.flops;

@@ -26,12 +26,9 @@ struct HeadStartConfig {
 
     /// Evaluation fan-out lanes (DESIGN.md §15). Forwarded to every layer
     /// search (Monte-Carlo rollouts evaluate on per-lane model clones) and
-    /// to the whole-split accuracy evaluations. workers > 1 additionally
-    /// software-pipelines the layer loop: fine-tuning of layer i overlaps
-    /// the inception-accuracy evaluation (on a post-surgery snapshot), the
-    /// policy preparation of layer i+1, and the checkpoint disk write.
-    /// Results are bit-identical at every worker count; workers == 1 runs
-    /// the historical fully sequential schedule.
+    /// to the whole-split accuracy evaluations; the layer loop's schedule
+    /// is the same at every count. Results are bit-identical at every
+    /// worker count.
     int workers = 1;
 
     /// Crash safety: when non-empty, model + trace are checkpointed into

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <exception>
+#include <memory>
 #include <thread>
 #include <utility>
 
@@ -79,30 +80,6 @@ void eval_lane(void* ctx, int lane) {
 
 } // namespace
 
-ActionSearch::Prepared::Prepared(int n, const SearchConfig& config)
-    : actions(n), seed(config.seed), policy(n, [&config] {
-          PolicyConfig p = config.policy;
-          p.seed = config.seed * 0x9e37 + 1; // decorrelate policy init
-          return p;
-      }()),
-      rng(config.seed) {
-    // Iteration-0 rollouts in the historical draw order: probs first, then
-    // the k Bernoulli samples. The evaluations interleaved between these
-    // draws in the old sequential loop never touched the Rng, so drawing
-    // everything up front leaves the stream bit-identical.
-    probs0 = policy.probs(rng);
-    samples0.reserve(static_cast<std::size_t>(config.monte_carlo_k));
-    for (int s = 0; s < config.monte_carlo_k; ++s) {
-        samples0.push_back(sample_action(probs0, rng, config.min_keep));
-    }
-}
-
-std::unique_ptr<ActionSearch::Prepared> ActionSearch::prepare(
-    int actions, const SearchConfig& config) {
-    obs::Span span("search.prepare", "search");
-    return std::make_unique<Prepared>(actions, config);
-}
-
 ActionSearch::ActionSearch(int actions, ActionEvaluator evaluate,
                            double acc_orig, const SearchConfig& config)
     : actions_(actions), acc_orig_(acc_orig), config_(config) {
@@ -121,26 +98,15 @@ ActionSearch::ActionSearch(int actions, ActionEvaluator evaluate,
 }
 
 ActionSearch::ActionSearch(int actions, EvaluatorFactory factory,
-                           double acc_orig, const SearchConfig& config,
-                           std::unique_ptr<Prepared> prepared)
+                           double acc_orig, const SearchConfig& config)
     : actions_(actions),
       factory_(std::move(factory)),
       acc_orig_(acc_orig),
-      config_(config),
-      prepared_(std::move(prepared)) {
+      config_(config) {
     require(factory_ != nullptr, "null evaluator factory");
     require(actions_ > 0, "search needs at least one action");
     require(acc_orig_ > 0.0, "original accuracy must be positive");
     require(config_.monte_carlo_k >= 1, "k must be at least 1");
-    if (prepared_ != nullptr &&
-        (prepared_->actions != actions_ || prepared_->seed != config_.seed ||
-         prepared_->samples0.size() !=
-             static_cast<std::size_t>(config_.monte_carlo_k))) {
-        // Stale pipeline handoff (config changed between prepare and run):
-        // discard and re-draw; correctness over the saved overlap.
-        log_warn("search: discarding mismatched prepared rollouts");
-        prepared_.reset();
-    }
 }
 
 SearchResult ActionSearch::run() {
@@ -152,10 +118,10 @@ SearchResult ActionSearch::run() {
     const int nlanes =
         std::clamp(config_.workers, 1, 1 + config_.monte_carlo_k);
 
-    std::unique_ptr<Prepared> prep = std::move(prepared_);
-    if (prep == nullptr) prep = std::make_unique<Prepared>(actions_, config_);
-    HeadStartNet& policy = prep->policy;
-    Rng& rng = prep->rng;
+    PolicyConfig policy_config = config_.policy;
+    policy_config.seed = config_.seed * 0x9e37 + 1; // decorrelate policy init
+    HeadStartNet policy(actions_, policy_config);
+    Rng rng(config_.seed);
 
     std::vector<StochasticEvaluator> lanes;
     lanes.reserve(static_cast<std::size_t>(nlanes));
@@ -235,17 +201,11 @@ SearchResult ActionSearch::run() {
 
         // Draw everything this iteration needs before evaluating anything:
         // keep probabilities, then the k samples (historical stream order).
-        std::vector<float> probs;
+        const std::vector<float> probs = policy.probs(rng);
         std::vector<std::vector<float>> samples;
-        if (iter == 0) {
-            probs = std::move(prep->probs0);
-            samples = std::move(prep->samples0);
-        } else {
-            probs = policy.probs(rng);
-            samples.reserve(static_cast<std::size_t>(config_.monte_carlo_k));
-            for (int s = 0; s < config_.monte_carlo_k; ++s) {
-                samples.push_back(sample_action(probs, rng, config_.min_keep));
-            }
+        samples.reserve(static_cast<std::size_t>(config_.monte_carlo_k));
+        for (int s = 0; s < config_.monte_carlo_k; ++s) {
+            samples.push_back(sample_action(probs, rng, config_.min_keep));
         }
 
         // Task 0 is the thresholded inference action (the baseline of

@@ -23,7 +23,6 @@
 // schedule-independent.
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -89,37 +88,14 @@ using EvaluatorFactory = std::function<StochasticEvaluator(int lane)>;
 /// REINFORCE search driver.
 class ActionSearch {
 public:
-    /// Policy state plus the pre-drawn iteration-0 rollouts. prepare()
-    /// consumes no model weights, so the whole-model pruner overlaps it
-    /// with the previous layer's fine-tuning (the pipeline of DESIGN.md
-    /// §15); run() continues from the exact RNG state prepare() left, so
-    /// eager preparation never changes the trace.
-    struct Prepared {
-        Prepared(int actions, const SearchConfig& config);
-        int actions;
-        std::uint64_t seed;                      ///< config.seed it was built for
-        HeadStartNet policy;
-        Rng rng;
-        std::vector<float> probs0;               ///< iteration-0 keep probs
-        std::vector<std::vector<float>> samples0; ///< k iteration-0 samples
-    };
-
-    /// Draw the policy init and iteration-0 rollouts for a search that has
-    /// not been constructed yet (layer pipelining).
-    [[nodiscard]] static std::unique_ptr<Prepared> prepare(
-        int actions, const SearchConfig& config);
-
     /// Single shared evaluation context: `config.workers` is clamped to 1.
     /// `acc_orig` is f_W(D|W): the unpruned accuracy on the reward set.
     ActionSearch(int actions, ActionEvaluator evaluate, double acc_orig,
                  const SearchConfig& config);
 
-    /// Parallel-capable constructor. `prepared` (optional) adopts rollouts
-    /// drawn earlier via prepare(); a mismatched Prepared (different
-    /// actions/seed) is discarded and re-drawn.
+    /// Parallel-capable constructor: lane l evaluates with factory(l).
     ActionSearch(int actions, EvaluatorFactory factory, double acc_orig,
-                 const SearchConfig& config,
-                 std::unique_ptr<Prepared> prepared = nullptr);
+                 const SearchConfig& config);
 
     /// Run until the inference-action reward is stable or max_iters.
     [[nodiscard]] SearchResult run();
@@ -129,7 +105,6 @@ private:
     EvaluatorFactory factory_;
     double acc_orig_;
     SearchConfig config_;
-    std::unique_ptr<Prepared> prepared_;
 };
 
 } // namespace hs::core

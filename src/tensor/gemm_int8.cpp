@@ -13,9 +13,6 @@
 namespace hs {
 namespace {
 
-constexpr int kBlockK = 256;
-constexpr int kBlockN = 512;
-
 /// Round to nearest even, matching the AVX2 cvtps path bit-for-bit.
 inline int round_nearest(float v) {
     return static_cast<int>(std::lrintf(v));
@@ -194,41 +191,6 @@ inline std::int32_t row_correction(const std::int8_t* a, int k) {
 }
 
 } // namespace
-
-void gemm_s8(int m, int n, int k, std::span<const std::int8_t> a,
-             std::span<const std::int8_t> b, std::span<std::int32_t> c) {
-    require(static_cast<std::int64_t>(a.size()) >=
-                    static_cast<std::int64_t>(m) * k &&
-                static_cast<std::int64_t>(b.size()) >=
-                    static_cast<std::int64_t>(k) * n &&
-                static_cast<std::int64_t>(c.size()) >=
-                    static_cast<std::int64_t>(m) * n,
-            "gemm_s8: span sizes too small for the given dimensions");
-    std::memset(c.data(), 0,
-                static_cast<std::size_t>(static_cast<std::int64_t>(m) * n) *
-                    sizeof(std::int32_t));
-
-#pragma omp parallel for schedule(static) if (static_cast<std::int64_t>(m) * n * k > 1 << 18)
-    for (int i = 0; i < m; ++i) {
-        std::int32_t* __restrict crow =
-            c.data() + static_cast<std::int64_t>(i) * n;
-        for (int k0 = 0; k0 < k; k0 += kBlockK) {
-            const int kmax = k0 + kBlockK < k ? k0 + kBlockK : k;
-            for (int n0 = 0; n0 < n; n0 += kBlockN) {
-                const int nmax = n0 + kBlockN < n ? n0 + kBlockN : n;
-                for (int p = k0; p < kmax; ++p) {
-                    const std::int32_t av = a[static_cast<std::size_t>(
-                        static_cast<std::int64_t>(i) * k + p)];
-                    if (av == 0) continue;
-                    const std::int8_t* __restrict brow =
-                        b.data() + static_cast<std::int64_t>(p) * n;
-                    for (int j = n0; j < nmax; ++j)
-                        crow[j] += av * static_cast<std::int32_t>(brow[j]);
-                }
-            }
-        }
-    }
-}
 
 void gemm_s8u8_bt(int m, int n, int k, std::span<const std::int8_t> a,
                   std::span<const std::uint8_t> b,

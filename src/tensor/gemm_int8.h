@@ -17,19 +17,14 @@
 //    (y = acc · s_w[f] · s_x + bias[f], optional ReLU) into the output
 //    write, so no extra pass touches the activations.
 //
-// Two kernels are exposed:
-//  * gemm_s8 — C(m×n) s32 = A(m×k) · B(k×n), both s8. Cache-blocked ikj
-//    order mirroring the fp32 gemm(), OpenMP over rows. The general
-//    full-range kernel (and the reference the fused path is tested
-//    against).
-//  * gemm_s8u8_bt — C(m×n) s32 = A(m×k, s8) · Bᵀ(n×k, u8 − 128). The
-//    engine's kernel: both operand rows are contiguous byte runs, so one
-//    dot-product loop serves every conv shape — the deep-layer
-//    "transposed weight" repack the fp32 path needs (freeze.h) is
-//    unnecessary in int8. The AVX2 path computes 2×4 output tiles with
-//    the horizontal reductions shared across the tile; exact for
-//    |a| ≤ kWeightQMax. The u8 zero point is corrected inside the kernel
-//    (−128 · Σ a_row), so C holds true products of the centered values.
+// The engine's kernel is gemm_s8u8_bt — C(m×n) s32 = A(m×k, s8) ·
+// Bᵀ(n×k, u8 − 128). Both operand rows are contiguous byte runs, so one
+// dot-product loop serves every conv shape — the deep-layer "transposed
+// weight" repack the fp32 path needs (freeze.h) is unnecessary in int8.
+// The AVX2 path computes 2×4 output tiles with the horizontal reductions
+// shared across the tile; exact for |a| ≤ kWeightQMax. The u8 zero point
+// is corrected inside the kernel (−128 · Σ a_row), so C holds true
+// products of the centered values.
 //
 // The engine pads the reduction dimension to kQKAlign (padded_k) with
 // zero weight bytes and zero-point activation bytes — both contribute
@@ -66,11 +61,6 @@ inline constexpr int kQKAlign = 32;
 [[nodiscard]] inline std::int64_t padded_k(std::int64_t k) {
     return (k + kQKAlign - 1) / kQKAlign * kQKAlign;
 }
-
-/// C(m×n) s32 = A(m×k, s8) · B(k×n, s8). Cache-blocked ikj order
-/// mirroring the fp32 gemm(); OpenMP over rows. C is overwritten.
-void gemm_s8(int m, int n, int k, std::span<const std::int8_t> a,
-             std::span<const std::int8_t> b, std::span<std::int32_t> c);
 
 /// C(m×n) s32 = A(m×k, s8) · Bᵀ(n×k, u8 with zero point 128), i.e.
 /// c[i,j] = Σ_p a[i·k+p] · (b[j·k+p] − 128). C is overwritten. Exact

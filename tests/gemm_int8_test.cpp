@@ -1,5 +1,5 @@
 // Kernel-level correctness for the GEMM family: the fp32 gemm/gemm_at/
-// gemm_bt and the int8 gemm_s8/gemm_s8u8_bt are each checked against a
+// gemm_bt and the int8 gemm_s8u8_bt are each checked against a
 // naive triple loop over non-square, odd shapes — including shapes that
 // straddle the cache-block boundaries, where off-by-one tiling bugs
 // live. Quantization helpers get round-trip coverage, including the
@@ -122,33 +122,6 @@ TEST(GemmFp32, AlphaBetaAccumulate) {
         EXPECT_NEAR(2.0f * base[i] + 0.5f, got[i], 1e-3f);
 }
 
-TEST(GemmInt8, S8MatchesNaiveOverOddShapes) {
-    for (const auto& s : kShapes) {
-        const auto a = random_s8(static_cast<std::size_t>(s.m * s.k), 31,
-                                 -127, 127);
-        const auto b = random_s8(static_cast<std::size_t>(s.k * s.n), 32,
-                                 -127, 127);
-        std::vector<std::int32_t> got(static_cast<std::size_t>(s.m * s.n),
-                                      -1);
-        gemm_s8(s.m, s.n, s.k, a, b, got);
-        // References accumulate in int64: gcc 12's AVX-512 autovectorizer
-        // miscompiles `s32 += s8 · (u8 − const)` reductions (wrong operand
-        // signedness in the vpdpbusd pattern), and an s32 accumulator is
-        // what arms that pattern match.
-        for (int i = 0; i < s.m; ++i)
-            for (int j = 0; j < s.n; ++j) {
-                std::int64_t want = 0;
-                for (int p = 0; p < s.k; ++p)
-                    want += static_cast<std::int64_t>(
-                                a[static_cast<std::size_t>(i * s.k + p)]) *
-                            b[static_cast<std::size_t>(p * s.n + j)];
-                ASSERT_EQ(want, got[static_cast<std::size_t>(i * s.n + j)])
-                    << "gemm_s8 mismatch at (" << i << "," << j << ") m="
-                    << s.m << " n=" << s.n << " k=" << s.k;
-            }
-    }
-}
-
 TEST(GemmInt8, S8U8BtMatchesNaiveOverOddShapes) {
     for (const auto& s : kShapes) {
         // A respects the engine contract |a| <= kWeightQMax; B spans the
@@ -159,9 +132,13 @@ TEST(GemmInt8, S8U8BtMatchesNaiveOverOddShapes) {
         std::vector<std::int32_t> got(static_cast<std::size_t>(s.m * s.n),
                                       -1);
         gemm_s8u8_bt(s.m, s.n, s.k, a, b, got);
+        // References accumulate in int64: gcc 12's AVX-512 autovectorizer
+        // miscompiles `s32 += s8 · (u8 − const)` reductions (wrong operand
+        // signedness in the vpdpbusd pattern), and an s32 accumulator is
+        // what arms that pattern match.
         for (int i = 0; i < s.m; ++i)
             for (int j = 0; j < s.n; ++j) {
-                std::int64_t want = 0;  // s64: see the note in the s8 test
+                std::int64_t want = 0;
                 for (int p = 0; p < s.k; ++p)
                     want += static_cast<std::int64_t>(
                                 a[static_cast<std::size_t>(i * s.k + p)]) *

@@ -218,19 +218,6 @@ TEST(SearchParallel, CounterStreamIsPureFunctionOfCounters) {
               Rng::counter_stream(8, 3, 9).next_u64());
 }
 
-TEST(SearchParallel, PreparedRolloutsDoNotChangeTheTrace) {
-    const int actions = 16;
-    core::SearchConfig cfg = small_config();
-    cfg.workers = 2;
-    core::ActionSearch plain(actions, synthetic_factory(), 0.6, cfg);
-    const auto want = plain.run();
-
-    auto prepared = core::ActionSearch::prepare(actions, cfg);
-    core::ActionSearch eager(actions, synthetic_factory(), 0.6, cfg,
-                             std::move(prepared));
-    expect_identical(want, eager.run());
-}
-
 // --------------------------------------------------------------------------
 // Worker-crash injection
 
@@ -277,7 +264,7 @@ TEST_F(SearchFaultTest, DelayedWorkersChangeNothingButTime) {
 }
 
 // --------------------------------------------------------------------------
-// Kill + resume under workers=4 (pipelined checkpoints)
+// Kill + resume under workers=4
 
 data::SyntheticImageDataset tiny_dataset() {
     data::SyntheticConfig cfg = data::cifar100_like();
@@ -314,7 +301,7 @@ core::HeadStartConfig quick_headstart(int workers) {
     return cfg;
 }
 
-TEST_F(SearchFaultTest, PipelinedCheckpointKillAndResumeKeepsTracePrefix) {
+TEST_F(SearchFaultTest, CheckpointKillAndResumeKeepsTracePrefix) {
     const auto dataset = tiny_dataset();
     const std::string dir =
         (std::filesystem::temp_directory_path() / "hs_parallel_resume_test")
@@ -328,10 +315,9 @@ TEST_F(SearchFaultTest, PipelinedCheckpointKillAndResumeKeepsTracePrefix) {
         core::headstart_prune_vgg(reference, dataset, quick_headstart(4));
     ASSERT_EQ(ref_result.trace.size(), 12u);
 
-    // Crashing run: the checkpoint commits stay ordered model-then-state
-    // even though they are asynchronous under workers>1, so atomic-write
-    // hit 3 is still the layer-1 model file. Tear it; the injected Error
-    // surfaces at the next commit join.
+    // Crashing run: each layer commits synchronously, model file then
+    // state, so atomic-write hit 3 is still the layer-1 model file. Tear
+    // it; the injected Error surfaces at that write.
     auto cfg = quick_headstart(4);
     cfg.checkpoint_dir = dir;
     auto crashing = tiny_vgg(dataset.config());
@@ -371,28 +357,35 @@ TEST_F(SearchFaultTest, PipelinedCheckpointKillAndResumeKeepsTracePrefix) {
 
 TEST(SearchParallel, WholeModelTraceInvariantInWorkerCount) {
     const auto dataset = tiny_dataset();
-    auto seq = tiny_vgg(dataset.config());
-    quick_train(seq.net, dataset, 2);
-    auto par = seq;  // deep copy: identical starting weights
+    auto start = tiny_vgg(dataset.config());
+    quick_train(start.net, dataset, 2);
+    auto seq = start;  // deep copy: identical starting weights
 
     auto cfg1 = quick_headstart(1);
-    // Keep it cheap: two layers are enough to cross a pipeline boundary.
-    cfg1.search.max_iters = 4;
-    auto cfg4 = cfg1;
-    cfg4.workers = 4;
+    cfg1.search.max_iters = 4;  // keep it cheap
 
     const auto a = core::headstart_prune_vgg(seq, dataset, cfg1);
-    const auto b = core::headstart_prune_vgg(par, dataset, cfg4);
-    ASSERT_EQ(a.trace.size(), b.trace.size());
-    for (std::size_t i = 0; i < a.trace.size(); ++i) {
-        EXPECT_EQ(a.trace[i].maps_after, b.trace[i].maps_after) << i;
-        EXPECT_EQ(a.trace[i].acc_inception, b.trace[i].acc_inception) << i;
-        EXPECT_EQ(a.trace[i].acc_finetuned, b.trace[i].acc_finetuned) << i;
-        EXPECT_EQ(a.trace[i].search_iterations, b.trace[i].search_iterations)
-            << i;
+    // 2 lanes is the deployed setting; 4 is the fan-out's upper end.
+    for (const int workers : {2, 4}) {
+        auto par = start;  // deep copy: identical starting weights
+        auto cfg = cfg1;
+        cfg.workers = workers;
+        const auto b = core::headstart_prune_vgg(par, dataset, cfg);
+        ASSERT_EQ(a.trace.size(), b.trace.size()) << workers;
+        for (std::size_t i = 0; i < a.trace.size(); ++i) {
+            EXPECT_EQ(a.trace[i].maps_after, b.trace[i].maps_after)
+                << workers << " " << i;
+            EXPECT_EQ(a.trace[i].acc_inception, b.trace[i].acc_inception)
+                << workers << " " << i;
+            EXPECT_EQ(a.trace[i].acc_finetuned, b.trace[i].acc_finetuned)
+                << workers << " " << i;
+            EXPECT_EQ(a.trace[i].search_iterations,
+                      b.trace[i].search_iterations)
+                << workers << " " << i;
+        }
+        EXPECT_EQ(a.final_accuracy, b.final_accuracy) << workers;
+        EXPECT_EQ(a.compression_ratio, b.compression_ratio) << workers;
     }
-    EXPECT_EQ(a.final_accuracy, b.final_accuracy);
-    EXPECT_EQ(a.compression_ratio, b.compression_ratio);
 }
 
 TEST(SearchParallel, EvaluateParallelMatchesSequential) {
