@@ -19,9 +19,9 @@
 // the throughput operating point next to the batch-1 latency one.
 //
 // With --baseline <path> (run_benches.sh passes the committed
-// BENCH_infer.json) the run also becomes a speed-regression gate,
-// mirroring bench_serve's QPS gate: the fresh batch-1 int8 VGG speedup
-// must stay within 20% of the baseline's, scale-matched, else exit 1.
+// BENCH_infer.json) the run also becomes a speed-regression gate: the
+// fresh batch-1 int8 VGG latency must stay within 25% of the baseline's,
+// scale-matched, else exit 1. A baseline that cannot be read fails too.
 //
 //   bench_infer [--json <path>] [--baseline <path>]
 //
@@ -33,6 +33,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,8 @@
 #include "tensor/gemm.h"
 #include "tensor/gemm_int8.h"
 #include "tensor/rng.h"
+#include "util/error.h"
+#include "util/fsio.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
 
@@ -70,23 +73,32 @@ Tensor random_image(int c, int s, std::uint64_t seed) {
 /// eval-set noise between scales.
 constexpr double kMinVggAgreement = 0.80;
 
-/// Minimal JSON field scrape (same contract as bench_serve): finds
-/// "key":<value> in `text` and returns the raw value token, or "" when
-/// absent. Good enough for our own run reports.
-std::string baseline_field(const std::string& text, const std::string& key) {
-    const std::string needle = "\"" + key + "\":";
-    const std::size_t at = text.find(needle);
-    if (at == std::string::npos) return {};
-    std::size_t from = at + needle.size();
-    std::size_t to = from;
-    if (from < text.size() && text[from] == '"') {
-        ++from;
-        to = text.find('"', from);
-    } else {
-        to = text.find_first_of(",}", from);
+/// The gated fields of a committed BENCH_infer.json run report.
+struct Baseline {
+    std::string scale;        ///< config.scale
+    double int8_vgg_ms = 0.0; ///< metrics.gauges["infer.int8_vgg_ms"]
+};
+
+/// Reads the gated fields of the run report at `path`; nullopt when the
+/// file is missing, malformed or lacks either field.
+std::optional<Baseline> read_baseline(const std::string& path) {
+    std::optional<obs::JsonValue> report;
+    try {
+        report = obs::parse_json(read_file(path));
+    } catch (const Error&) {
+        return std::nullopt;
     }
-    if (to == std::string::npos) return {};
-    return text.substr(from, to - from);
+    if (!report) return std::nullopt;
+    const obs::JsonValue* config = report->find("config");
+    const obs::JsonValue* metrics = report->find("metrics");
+    const obs::JsonValue* scale = config ? config->find("scale") : nullptr;
+    const obs::JsonValue* gauges = metrics ? metrics->find("gauges") : nullptr;
+    const obs::JsonValue* ms =
+        gauges ? gauges->find("infer.int8_vgg_ms") : nullptr;
+    if (scale == nullptr || scale->kind != obs::JsonValue::Kind::kString ||
+        ms == nullptr || ms->kind != obs::JsonValue::Kind::kNumber)
+        return std::nullopt;
+    return Baseline{scale->string, ms->number};
 }
 
 /// Median wall-clock milliseconds of `fn()` over `reps` runs (after 2
@@ -348,6 +360,19 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i)
         if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc)
             baseline_path = argv[++i];
+    // Read before measuring, so a baseline that cannot be read fails in
+    // seconds rather than after the whole run.
+    std::optional<Baseline> baseline;
+    if (!baseline_path.empty()) {
+        baseline = read_baseline(baseline_path);
+        if (!baseline) {
+            std::fprintf(stderr,
+                         "baseline %s: unreadable, or no config.scale or "
+                         "infer.int8_vgg_ms gauge -> FAIL\n",
+                         baseline_path.c_str());
+            return 1;
+        }
+    }
     Stopwatch total;
 
     const int reps = bench::scale() == bench::Scale::kFull    ? 51
@@ -424,41 +449,22 @@ int main(int argc, char** argv) {
         gate_failed = true;
     }
 
-    // Speed gate against the committed baseline (mirrors bench_serve's
-    // absolute-QPS gate): fresh batch-1 int8 VGG latency must stay
-    // within 25% of the baseline run's, same scale. Latency — not the
-    // fp32/int8 speedup ratio — because the fp32 numerator's run-to-run
-    // noise on a small box would make a ratio gate flap.
-    if (!baseline_path.empty()) {
-        std::string text;
-        if (FILE* f = std::fopen(baseline_path.c_str(), "rb")) {
-            char buf[4096];
-            std::size_t n = 0;
-            while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-                text.append(buf, n);
-            std::fclose(f);
-        }
-        const std::string ms_s = baseline_field(text, "infer.int8_vgg_ms");
-        const std::string scale_s = baseline_field(text, "scale");
-        const std::string this_scale =
-            bench::scale() == bench::Scale::kFull    ? "full"
-            : bench::scale() == bench::Scale::kQuick ? "quick"
-                                                     : "smoke";
-        if (ms_s.empty()) {
-            std::fprintf(stderr,
-                         "baseline %s: no infer.int8_vgg_ms; gate skipped\n",
-                         baseline_path.c_str());
-        } else if (scale_s != this_scale) {
+    // Speed gate against the committed baseline: fresh batch-1 int8 VGG
+    // latency must stay within 25% of the baseline run's, same scale.
+    // Latency — not the fp32/int8 speedup ratio — because the fp32
+    // numerator's run-to-run noise on a small box would make a ratio gate
+    // flap.
+    if (baseline) {
+        if (baseline->scale != bench::scale_name()) {
             std::printf("baseline scale '%s' != run scale '%s'; "
                         "latency gate skipped\n",
-                        scale_s.c_str(), this_scale.c_str());
+                        baseline->scale.c_str(), bench::scale_name());
         } else {
-            const double baseline_ms = std::strtod(ms_s.c_str(), nullptr);
-            const double cap_ms = 1.25 * baseline_ms;
+            const double cap_ms = 1.25 * baseline->int8_vgg_ms;
             const bool fail = base.int8_ms > cap_ms;
             std::printf("int8 latency gate: %.3f ms measured vs %.3f ms "
                         "baseline (cap %.3f) -> %s\n",
-                        base.int8_ms, baseline_ms, cap_ms,
+                        base.int8_ms, baseline->int8_vgg_ms, cap_ms,
                         fail ? "FAIL" : "ok");
             gate_failed = gate_failed || fail;
         }

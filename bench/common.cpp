@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <thread>
 
 #include "data/dataloader.h"
 #include "nn/trainer.h"
@@ -54,12 +55,11 @@ BenchRun bench_run(const char* name, int argc, char** argv) {
     if (!run.json_path.empty()) obs::set_enabled(true);
 
     if (obs::enabled()) {
-        const char* scale_name = scale() == Scale::kFull    ? "full"
-                                 : scale() == Scale::kQuick ? "quick"
-                                                            : "smoke";
         auto& report = obs::RunReport::global();
         report.set_config("bench", std::string(name));
-        report.set_config("scale", std::string(scale_name));
+        report.set_config("scale", std::string(scale_name()));
+        report.set_config("cores", static_cast<std::int64_t>(
+                                       std::thread::hardware_concurrency()));
     }
     return run;
 }

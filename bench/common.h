@@ -35,6 +35,17 @@ inline Scale scale() {
     return Scale::kQuick;
 }
 
+/// Name of the running scale, as recorded in every run report's
+/// `config.scale`.
+inline const char* scale_name() {
+    switch (scale()) {
+    case Scale::kFull: return "full";
+    case Scale::kQuick: return "quick";
+    case Scale::kSmoke: return "smoke";
+    }
+    return "quick";
+}
+
 inline bool full_scale() { return scale() == Scale::kFull; }
 
 /// CIFAR-100 stand-in at bench scale.
@@ -186,7 +197,8 @@ bool has_flag(int argc, char** argv, const char* flag);
 
 /// Parse `--json <path>` (and the env-armed HS_OBS state), force-enable
 /// observability when a report was requested, and stamp the run config
-/// (bench name, scale) into the global run report. Call first in main().
+/// (bench name, scale, core count) into the global run report. Call first
+/// in main().
 BenchRun bench_run(const char* name, int argc, char** argv);
 
 /// Record total wall-clock and write the run report to --json's path (if

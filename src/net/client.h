@@ -9,7 +9,8 @@
 //     the server's EWMA admission control seeds the wait);
 //   * pipelined: send() / recv_frame() are independent, so an open-loop
 //     load generator can keep submitting at its arrival schedule while a
-//     second thread drains responses (bench_serve does exactly this).
+//     second thread drains responses (hsbench's load windows do exactly
+//     this).
 //
 // Fleet serving: every request-shaped entry point takes a model id
 // (default 0 = the server's default model); reload() and health() speak

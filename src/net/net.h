@@ -10,7 +10,7 @@
 //   * client.h   — blocking client + Backoff honoring NACK hints
 //
 // Deployment path: freeze -> [quantize] -> ServingEngine -> net::Server
-// on one host; net::Client (or bench_serve's open-loop generator) on the
+// on one host; net::Client (or hsbench's open-loop generator) on the
 // other. See DESIGN.md §12 and README "Network serving".
 
 #include "net/client.h"

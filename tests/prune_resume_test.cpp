@@ -5,6 +5,7 @@
 
 #include <filesystem>
 #include <string>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -62,8 +63,12 @@ protected:
 // crashed run committed.
 TEST_F(PruneResumeTest, TornCheckpointWriteResumesWithIdenticalPrefix) {
     const auto dataset = tiny_dataset();
+    // Per-process name: concurrent runs of this suite must not delete
+    // each other's checkpoints.
     const std::string dir =
-        (std::filesystem::temp_directory_path() / "hs_resume_test").string();
+        (std::filesystem::temp_directory_path() /
+         ("hs_resume_test_" + std::to_string(::getpid())))
+            .string();
     std::filesystem::remove_all(dir);
 
     // Reference: same seeds, no faults, no checkpoints. Layer 0 of any

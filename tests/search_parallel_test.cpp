@@ -22,6 +22,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -303,8 +304,11 @@ core::HeadStartConfig quick_headstart(int workers) {
 
 TEST_F(SearchFaultTest, CheckpointKillAndResumeKeepsTracePrefix) {
     const auto dataset = tiny_dataset();
+    // Per-process name: concurrent runs of this suite must not delete
+    // each other's checkpoints.
     const std::string dir =
-        (std::filesystem::temp_directory_path() / "hs_parallel_resume_test")
+        (std::filesystem::temp_directory_path() /
+         ("hs_parallel_resume_test_" + std::to_string(::getpid())))
             .string();
     std::filesystem::remove_all(dir);
 
@@ -373,7 +377,14 @@ TEST(SearchParallel, WholeModelTraceInvariantInWorkerCount) {
         const auto b = core::headstart_prune_vgg(par, dataset, cfg);
         ASSERT_EQ(a.trace.size(), b.trace.size()) << workers;
         for (std::size_t i = 0; i < a.trace.size(); ++i) {
+            EXPECT_EQ(a.trace[i].name, b.trace[i].name) << workers << " " << i;
+            EXPECT_EQ(a.trace[i].maps_before, b.trace[i].maps_before)
+                << workers << " " << i;
             EXPECT_EQ(a.trace[i].maps_after, b.trace[i].maps_after)
+                << workers << " " << i;
+            EXPECT_EQ(a.trace[i].params, b.trace[i].params)
+                << workers << " " << i;
+            EXPECT_EQ(a.trace[i].flops, b.trace[i].flops)
                 << workers << " " << i;
             EXPECT_EQ(a.trace[i].acc_inception, b.trace[i].acc_inception)
                 << workers << " " << i;
