@@ -9,15 +9,23 @@
 # measured parallel-search speedup come from the repository benchmark
 # (hsbench/, README "Network serving" and "Parallel search"), not from
 # this script.
+# Only binaries with a bench/bench_*.cpp source run: CMake never deletes
+# the binary of a removed target, so a stale one can sit in build/bench/.
+# A source without a built binary fails the run.
 # Usage: ./run_benches.sh [output-file]
 out="${1:-/root/repo/bench_output.txt}"
 outdir=$(dirname "$out")
 : > "$out"
 status=0
-for b in build/bench/*; do
-  [ -f "$b" ] && [ -x "$b" ] || continue
-  name=$(basename "$b")
+for src in bench/bench_*.cpp; do
+  name=$(basename "$src" .cpp)
+  b="build/bench/$name"
   echo "##### $b" >> "$out"
+  if [ ! -f "$b" ] || [ ! -x "$b" ]; then
+    echo "missing binary $b (build first)" >> "$out"
+    status=1
+    continue
+  fi
   case "$name" in
     bench_infer)
       # Gate the fresh int8 speedup and fidelity numbers against the

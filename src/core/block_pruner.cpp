@@ -54,14 +54,14 @@ BlockPruneResult headstart_prune_blocks(models::ResNetModel& model,
         return nn::evaluate_batch(m.net, reward_batch);
     };
     EvaluatorFactory factory = [&model,
-                                gated_accuracy](int lane) -> StochasticEvaluator {
+                                gated_accuracy](int lane) -> ActionEvaluator {
         if (lane == 0) {
-            return [&model, gated_accuracy](std::span<const float> action, Rng&) {
+            return [&model, gated_accuracy](std::span<const float> action) {
                 return gated_accuracy(model, action);
             };
         }
         auto copy = std::make_shared<models::ResNetModel>(model);
-        return [copy, gated_accuracy](std::span<const float> action, Rng&) {
+        return [copy, gated_accuracy](std::span<const float> action) {
             return gated_accuracy(*copy, action);
         };
     };

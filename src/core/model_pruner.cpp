@@ -35,11 +35,11 @@ EvaluatorFactory make_layer_evaluator_factory(nn::Sequential& net,
     auto prefix = std::make_shared<Tensor>(
         net.forward_range(reward_batch.images, 0, conv_position, false));
     auto labels = std::make_shared<std::vector<int>>(reward_batch.labels);
-    return [&net, conv_position, prefix, labels](int lane) -> StochasticEvaluator {
+    return [&net, conv_position, prefix, labels](int lane) -> ActionEvaluator {
         if (lane == 0) {
             auto& conv = net.layer_as<nn::Conv2d>(conv_position);
             return [&net, &conv, conv_position, prefix,
-                    labels](std::span<const float> action, Rng&) {
+                    labels](std::span<const float> action) {
                 conv.set_output_mask(action);
                 const Tensor logits =
                     net.forward_range(*prefix, conv_position, net.size(), false);
@@ -51,7 +51,7 @@ EvaluatorFactory make_layer_evaluator_factory(nn::Sequential& net,
         // it inherits is overwritten by set_output_mask below.
         auto clone = std::make_shared<nn::Sequential>(net);
         return [clone, conv_position, prefix,
-                labels](std::span<const float> action, Rng&) {
+                labels](std::span<const float> action) {
             clone->layer_as<nn::Conv2d>(conv_position).set_output_mask(action);
             const Tensor logits =
                 clone->forward_range(*prefix, conv_position, clone->size(), false);

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <exception>
+#include <map>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -20,16 +21,23 @@
 namespace hs::core {
 namespace {
 
+/// Memo key of a 0/1 action: its bits packed 64 to a word.
+using ActionKey = std::vector<std::uint64_t>;
+
+ActionKey pack_action(std::span<const float> action) {
+    ActionKey key((action.size() + 63) / 64, 0);
+    for (std::size_t i = 0; i < action.size(); ++i)
+        if (action[i] != 0.0f) key[i / 64] |= std::uint64_t{1} << (i % 64);
+    return key;
+}
+
 /// One fan-out of candidate-action evaluations over the worker lanes.
-/// Task t (0 = inference action, 1..k = Monte-Carlo samples) runs on lane
-/// t % lanes with its own counter-based Rng stream, and results come back
-/// indexed by task — the reduction below therefore consumes them in the
-/// exact sequential order, making traces bit-identical at any lane count.
+/// Task t runs on lane t % lanes and its result comes back indexed by
+/// task, so the caller consumes results in task order whatever the lane
+/// count.
 struct EvalBatch {
     std::span<const std::vector<float>> tasks;
-    std::span<StochasticEvaluator> lanes;
-    std::uint64_t seed = 0;
-    std::uint64_t iter = 0;
+    std::span<ActionEvaluator> lanes;
     bool faults = false;  ///< consult the search.worker injection point
     std::vector<double> acc;
     std::vector<std::exception_ptr> error;
@@ -49,8 +57,8 @@ void eval_lane(void* ctx, int lane) {
                 if (f->action == "crash") {
                     // Simulated worker death: this lane abandons all of its
                     // remaining tasks; the coordinator respawns it after the
-                    // barrier and replays them on a fresh evaluator with the
-                    // same Rng streams, so no sample is lost or altered.
+                    // barrier and replays them on a fresh evaluator, so no
+                    // sample is lost or altered.
                     for (int u = t; u < ntasks; u += nlanes) b.lost[u] = 1;
                     return;
                 }
@@ -62,11 +70,9 @@ void eval_lane(void* ctx, int lane) {
         }
         Stopwatch watch;
         try {
-            Rng stream = Rng::counter_stream(b.seed, b.iter,
-                                             static_cast<std::uint64_t>(t));
             b.acc[static_cast<std::size_t>(t)] =
                 b.lanes[static_cast<std::size_t>(lane)](
-                    b.tasks[static_cast<std::size_t>(t)], stream);
+                    b.tasks[static_cast<std::size_t>(t)]);
         } catch (...) {
             b.error[static_cast<std::size_t>(t)] = std::current_exception();
         }
@@ -87,8 +93,8 @@ ActionSearch::ActionSearch(int actions, ActionEvaluator evaluate,
     // A single shared evaluation context cannot fan out safely.
     config_.workers = 1;
     auto shared = std::make_shared<ActionEvaluator>(std::move(evaluate));
-    factory_ = [shared](int) {
-        return [shared](std::span<const float> action, Rng&) {
+    factory_ = [shared](int) -> ActionEvaluator {
+        return [shared](std::span<const float> action) {
             return (*shared)(action);
         };
     };
@@ -123,7 +129,7 @@ SearchResult ActionSearch::run() {
     HeadStartNet policy(actions_, policy_config);
     Rng rng(config_.seed);
 
-    std::vector<StochasticEvaluator> lanes;
+    std::vector<ActionEvaluator> lanes;
     lanes.reserve(static_cast<std::size_t>(nlanes));
     for (int l = 0; l < nlanes; ++l) {
         lanes.push_back(factory_(l));
@@ -139,14 +145,11 @@ SearchResult ActionSearch::run() {
 
     // Fan one batch of candidate actions out over the lanes, then replay
     // any tasks lost to an injected worker crash on freshly respawned
-    // evaluators (same task order, same Rng streams — identical results).
-    auto run_batch = [&](std::uint64_t iter,
-                         std::span<const std::vector<float>> tasks) {
+    // evaluators (same task order — identical results).
+    auto run_batch = [&](std::span<const std::vector<float>> tasks) {
         EvalBatch batch;
         batch.tasks = tasks;
         batch.lanes = lanes;
-        batch.seed = config_.seed;
-        batch.iter = iter;
         batch.faults = nlanes > 1;
         batch.acc.assign(tasks.size(), 0.0);
         batch.error.assign(tasks.size(), nullptr);
@@ -175,9 +178,7 @@ SearchResult ActionSearch::run() {
                              std::to_string(lane) + " after injected crash");
                 }
                 Stopwatch watch;
-                Rng stream = Rng::counter_stream(
-                    config_.seed, iter, static_cast<std::uint64_t>(t));
-                batch.acc[t] = lanes[lane](tasks[t], stream);
+                batch.acc[t] = lanes[lane](tasks[t]);
                 busy_us.fetch_add(
                     static_cast<std::int64_t>(watch.seconds() * 1e6),
                     std::memory_order_relaxed);
@@ -188,6 +189,12 @@ SearchResult ActionSearch::run() {
         }
         return std::move(batch.acc);
     };
+
+    // Accuracy of every action evaluated so far. Evaluators are pure
+    // functions of the action, so a repeated action (the converged
+    // inference action, a re-drawn sample) is looked up instead of
+    // re-evaluated, and the trace stays bit-identical.
+    std::map<ActionKey, double> memo;
 
     SearchResult result;
     double moving_avg = 0.0;
@@ -216,8 +223,26 @@ SearchResult ActionSearch::run() {
             inference_action(probs, config_.threshold, config_.min_keep));
         for (auto& s : samples) tasks.push_back(std::move(s));
 
-        const std::vector<double> acc =
-            run_batch(static_cast<std::uint64_t>(iter), tasks);
+        // Only distinct actions the memo has not seen go to the lanes; the
+        // fan-out is skipped when every task hits.
+        std::vector<const double*> task_slots;
+        std::vector<std::vector<float>> fresh;
+        std::vector<double*> fresh_slots;
+        for (const auto& task : tasks) {
+            const auto [slot, inserted] = memo.try_emplace(pack_action(task), 0.0);
+            if (inserted) {
+                fresh.push_back(task);
+                fresh_slots.push_back(&slot->second);
+            }
+            task_slots.push_back(&slot->second);
+        }
+        if (!fresh.empty()) {
+            const std::vector<double> fresh_acc = run_batch(fresh);
+            for (std::size_t i = 0; i < fresh.size(); ++i)
+                *fresh_slots[i] = fresh_acc[i];
+        }
+        std::vector<double> acc;
+        for (const double* slot : task_slots) acc.push_back(*slot);
 
         const auto& infer = tasks[0];
         const int infer_l0 = pruning::l0_norm(infer);
@@ -268,7 +293,10 @@ SearchResult ActionSearch::run() {
 
         if (obs::enabled()) {
             obs::count("search.iterations");
-            obs::count("search.action_evaluations", 1 + config_.monte_carlo_k);
+            obs::count("search.action_evaluations",
+                       static_cast<std::int64_t>(fresh.size()));
+            obs::count("search.memo_hits",
+                       static_cast<std::int64_t>(tasks.size() - fresh.size()));
             obs::gauge_set("search.reward", infer_reward);
             obs::gauge_set("search.l0", infer_l0);
             obs::gauge_set("search.baseline", baseline);
@@ -287,28 +315,28 @@ SearchResult ActionSearch::run() {
 
     // Final decision: the converged inference action. Fall back to the best
     // sampled action if the policy collapsed to a worse point. These two
-    // evaluations are inherently serial, so they run inline on lane 0 and
-    // stay out of the parallel-region accounting; their Rng streams use
-    // hi = result.iterations, which no in-loop iteration consumed.
+    // lookups are inherently serial, so a miss evaluates inline on lane 0
+    // and stays out of the parallel-region accounting. The second one
+    // always hits: both candidates were evaluated before.
+    auto serial_lookup = [&](const std::vector<float>& action) {
+        const auto [slot, inserted] = memo.try_emplace(pack_action(action), 0.0);
+        if (inserted) slot->second = lanes[0](action);
+        if (obs::enabled()) {
+            obs::count(inserted ? "search.action_evaluations"
+                                : "search.memo_hits");
+        }
+        return slot->second;
+    };
     const auto final_probs = policy.probs(rng);
     auto final_action =
         inference_action(final_probs, config_.threshold, config_.min_keep);
-    const auto final_hi = static_cast<std::uint64_t>(result.iterations);
-    double final_r = 0.0;
-    {
-        Rng stream = Rng::counter_stream(config_.seed, final_hi, 0);
-        final_r = reward(lanes[0](final_action, stream), acc_orig_, actions_,
-                         pruning::l0_norm(final_action), config_.speedup);
-    }
+    double final_r = reward(serial_lookup(final_action), acc_orig_, actions_,
+                            pruning::l0_norm(final_action), config_.speedup);
     if (!best_action.empty() && best_reward > final_r) {
         final_action = best_action;
         final_r = best_reward;
     }
-
-    {
-        Rng stream = Rng::counter_stream(config_.seed, final_hi, 1);
-        result.inception_accuracy = lanes[0](final_action, stream);
-    }
+    result.inception_accuracy = serial_lookup(final_action);
     result.keep = pruning::keep_from_mask(final_action);
 
     result.workers = nlanes;

@@ -8,7 +8,7 @@
 // The search owns a HeadStartNet policy; the caller supplies the accuracy
 // evaluator (which applies the action to the model being pruned).
 //
-// Parallel evaluation (DESIGN.md §15). Every iteration evaluates 1 + k
+// Parallel evaluation (DESIGN.md §15). Every iteration scores 1 + k
 // candidate actions (the thresholded inference action plus k Monte-Carlo
 // samples), and none of those evaluations consumes the policy RNG — so
 // the coordinator draws all actions up front in the exact sequential
@@ -17,10 +17,11 @@
 // therefore bit-identical at every worker count: `workers = 1` reproduces
 // the historical sequential trace, and fixed-N runs are deterministic
 // run-to-run. Each lane owns a private evaluation context built by the
-// caller's EvaluatorFactory (a deep model clone for the built-in pruners),
-// and each (iteration, sample) pair gets a counter-based Rng stream
-// (Rng::counter_stream) so even stochastic evaluators stay
-// schedule-independent.
+// caller's EvaluatorFactory (a deep model clone for the built-in pruners).
+//
+// Evaluators must be pure functions of the action: the search memoizes
+// accuracies per action, so each distinct action is evaluated at most once
+// per search and only the distinct misses of an iteration fan out.
 
 #include <functional>
 #include <string>
@@ -69,21 +70,16 @@ struct SearchResult {
     double parallel_efficiency = 1.0;
 };
 
-/// Evaluator: accuracy (in [0,1]) of the model under a binary action.
+/// Evaluator: accuracy (in [0,1]) of the model under a binary action. It
+/// must return the same value whenever it sees the same action (results
+/// are memoized per search).
 using ActionEvaluator = std::function<double(std::span<const float>)>;
-
-/// Stochastic flavour: additionally receives this sample's counter-based
-/// Rng stream, derived from (config.seed, iteration, sample index) — the
-/// same stream no matter which lane runs the sample or how many lanes
-/// exist. Deterministic evaluators may ignore it.
-using StochasticEvaluator =
-    std::function<double(std::span<const float>, Rng&)>;
 
 /// Builds lane `lane`'s private evaluator (0 ≤ lane < workers). Evaluators
 /// from different lanes run concurrently, so each must own its state (the
 /// built-in pruners deep-clone the model per lane); all lanes must agree
-/// bit-for-bit on deterministic inputs.
-using EvaluatorFactory = std::function<StochasticEvaluator(int lane)>;
+/// bit-for-bit on every action.
+using EvaluatorFactory = std::function<ActionEvaluator(int lane)>;
 
 /// REINFORCE search driver.
 class ActionSearch {

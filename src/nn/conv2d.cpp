@@ -1,7 +1,9 @@
 #include "nn/conv2d.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "tensor/gemm.h"
 
@@ -40,6 +42,40 @@ ConvGeom Conv2d::geom_for(const Tensor& input) const {
     return g;
 }
 
+namespace {
+
+// Every conv GEMM sees at least this many columns: images are grouped so
+// that small late-layer maps (4 or 1 output pixels) still feed the GEMM a
+// wide, vectorizable row instead of one tiny product per image.
+constexpr std::int64_t kMinGemmCols = 256;
+
+int image_group(int n, std::int64_t ohw) {
+    return static_cast<int>(
+        std::min<std::int64_t>(n, (kMinGemmCols + ohw - 1) / ohw));
+}
+
+// A group's matrices are image-major along their columns: image g of the
+// group owns columns [g·ohw, (g+1)·ohw) of every row. These copy one
+// image's rows×ohw block into or out of that slot of a rows×(gn·ohw) matrix.
+void pack_image(const float* src, float* group, std::int64_t rows,
+                std::int64_t ohw, int g, int gn) {
+    for (std::int64_t r = 0; r < rows; ++r)
+        std::memcpy(group + (r * gn + g) * ohw, src + r * ohw,
+                    static_cast<std::size_t>(ohw) * sizeof(float));
+}
+
+void unpack_image(const float* group, float* dst, std::int64_t rows,
+                  std::int64_t ohw, int g, int gn) {
+    for (std::int64_t r = 0; r < rows; ++r)
+        std::memcpy(dst + r * ohw, group + (r * gn + g) * ohw,
+                    static_cast<std::size_t>(ohw) * sizeof(float));
+}
+
+} // namespace
+
+// Batching images into one GEMM is bit-exact: every output element still
+// sums over the same K terms in the same order; only the column count of
+// the product changes. A group of one image is the plain per-image loop.
 Tensor Conv2d::forward(const Tensor& input, bool train) {
     const ConvGeom g = geom_for(input);
     const int n = input.dim(0);
@@ -47,26 +83,46 @@ Tensor Conv2d::forward(const Tensor& input, bool train) {
     const int ow = g.out_w();
     const std::int64_t ckk = g.col_rows();
     const std::int64_t ohw = g.col_cols();
+    const int group = image_group(n, ohw);
 
     Tensor output({n, out_channels_, oh, ow});
-    if (cols_scratch_.numel() < ckk * ohw)
-        cols_scratch_ = Tensor({static_cast<int>(ckk), static_cast<int>(ohw)});
+    if (cols_scratch_.numel() < ckk * ohw * group)
+        cols_scratch_ = Tensor({static_cast<int>(ckk), static_cast<int>(ohw * group)});
+    std::vector<float> image_cols(group > 1 ? static_cast<std::size_t>(ckk * ohw) : 0);
+    std::vector<float> group_out(
+        group > 1 ? static_cast<std::size_t>(out_channels_ * ohw * group) : 0);
 
     const std::int64_t in_chw = static_cast<std::int64_t>(in_channels_) * g.height * g.width;
     const std::int64_t out_chw = static_cast<std::int64_t>(out_channels_) * oh * ow;
+    const auto in = input.data();
+    const auto out = output.data();
 
-    for (int i = 0; i < n; ++i) {
-        im2col(g, input.data().subspan(static_cast<std::size_t>(i * in_chw),
-                                       static_cast<std::size_t>(in_chw)),
-               cols_scratch_.data());
-        gemm(out_channels_, static_cast<int>(ohw), static_cast<int>(ckk), 1.0f,
-             weight_.value.data(), cols_scratch_.data(), 0.0f,
-             output.data().subspan(static_cast<std::size_t>(i * out_chw),
-                                   static_cast<std::size_t>(out_chw)));
+    for (int i0 = 0; i0 < n; i0 += group) {
+        const int gn = std::min(group, n - i0);
+        for (int j = 0; j < gn; ++j) {
+            const auto image = in.subspan(static_cast<std::size_t>((i0 + j) * in_chw),
+                                          static_cast<std::size_t>(in_chw));
+            if (gn == 1) {
+                im2col(g, image, cols_scratch_.data());
+            } else {
+                im2col(g, image, image_cols);
+                pack_image(image_cols.data(), cols_scratch_.data().data(), ckk, ohw,
+                           j, gn);
+            }
+        }
+        const auto y = gn == 1 ? out.subspan(static_cast<std::size_t>(i0 * out_chw),
+                                             static_cast<std::size_t>(out_chw))
+                               : std::span<float>(group_out);
+        gemm(out_channels_, static_cast<int>(ohw * gn), static_cast<int>(ckk), 1.0f,
+             weight_.value.data(), cols_scratch_.data(), 0.0f, y);
+        if (gn > 1) {
+            for (int j = 0; j < gn; ++j)
+                unpack_image(group_out.data(), out.data() + (i0 + j) * out_chw,
+                             out_channels_, ohw, j, gn);
+        }
     }
 
     if (has_bias_) {
-        auto out = output.data();
         for (int i = 0; i < n; ++i)
             for (int f = 0; f < out_channels_; ++f) {
                 const float b = bias_.value[f];
@@ -79,7 +135,6 @@ Tensor Conv2d::forward(const Tensor& input, bool train) {
     if (collect_stats_) stats_output_ = output; // pre-mask activations
 
     if (mask_) {
-        auto out = output.data();
         const auto& m = *mask_;
         for (int i = 0; i < n; ++i)
             for (int f = 0; f < out_channels_; ++f) {
@@ -109,6 +164,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     const std::int64_t ohw = g.col_cols();
     const std::int64_t in_chw = static_cast<std::int64_t>(in_channels_) * g.height * g.width;
     const std::int64_t out_chw = static_cast<std::int64_t>(out_channels_) * oh * ow;
+    const int group = image_group(n, ohw);
 
     require(grad_output.rank() == 4 && grad_output.dim(0) == n &&
                 grad_output.dim(1) == out_channels_ && grad_output.dim(2) == oh &&
@@ -134,30 +190,47 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     }
 
     Tensor grad_input({n, in_channels_, g.height, g.width});
-    Tensor dcols({static_cast<int>(ckk), static_cast<int>(ohw)});
+    std::vector<float> dcols(static_cast<std::size_t>(ckk * ohw * group));
+    std::vector<float> group_dy(
+        group > 1 ? static_cast<std::size_t>(out_channels_ * ohw * group) : 0);
+    std::vector<float> image_dcols(group > 1 ? static_cast<std::size_t>(ckk * ohw) : 0);
+    const auto gd = grad.data();
 
-    for (int i = 0; i < n; ++i) {
-        // Recompute cols for this image (memory over speed tradeoff).
-        im2col(g, cached_input_.data().subspan(
-                      static_cast<std::size_t>(i * in_chw),
-                      static_cast<std::size_t>(in_chw)),
-               cols_scratch_.data());
+    for (int i0 = 0; i0 < n; i0 += group) {
+        const int gn = std::min(group, n - i0);
+        if (gn > 1) {
+            for (int j = 0; j < gn; ++j)
+                pack_image(gd.data() + (i0 + j) * out_chw, group_dy.data(),
+                           out_channels_, ohw, j, gn);
+        }
+        const auto dy = gn == 1 ? gd.subspan(static_cast<std::size_t>(i0 * out_chw),
+                                             static_cast<std::size_t>(out_chw))
+                                : std::span<float>(group_dy);
+        // dcols = Wᵀ(CKK×F) · dY(F×gn·OHW), the whole group at once
+        gemm_at(static_cast<int>(ckk), static_cast<int>(ohw * gn), out_channels_, 1.0f,
+                weight_.value.data(), dy, 0.0f, dcols);
 
-        const auto gout = grad.data().subspan(static_cast<std::size_t>(i * out_chw),
-                                              static_cast<std::size_t>(out_chw));
-        // dW += dY(F×OHW) · colsᵀ(OHW×CKK)
-        gemm_bt(out_channels_, static_cast<int>(ckk), static_cast<int>(ohw), 1.0f,
-                gout, cols_scratch_.data(), 1.0f, weight_.grad.data());
-        // dcols = Wᵀ(CKK×F) · dY(F×OHW)
-        gemm_at(static_cast<int>(ckk), static_cast<int>(ohw), out_channels_, 1.0f,
-                weight_.value.data(), gout, 0.0f, dcols.data());
-        col2im(g, dcols.data(),
-               grad_input.data().subspan(static_cast<std::size_t>(i * in_chw),
-                                         static_cast<std::size_t>(in_chw)));
+        for (int j = 0; j < gn; ++j) {
+            const int i = i0 + j;
+            // Recompute cols for this image (memory over speed tradeoff).
+            im2col(g, cached_input_.data().subspan(
+                          static_cast<std::size_t>(i * in_chw),
+                          static_cast<std::size_t>(in_chw)),
+                   cols_scratch_.data());
+            // dW += dY(F×OHW) · colsᵀ(OHW×CKK), per image so the dot
+            // products keep their historical grouping
+            gemm_bt(out_channels_, static_cast<int>(ckk), static_cast<int>(ohw), 1.0f,
+                    gd.subspan(static_cast<std::size_t>(i * out_chw),
+                               static_cast<std::size_t>(out_chw)),
+                    cols_scratch_.data(), 1.0f, weight_.grad.data());
+            if (gn > 1) unpack_image(dcols.data(), image_dcols.data(), ckk, ohw, j, gn);
+            col2im(g, gn == 1 ? std::span<const float>(dcols) : image_dcols,
+                   grad_input.data().subspan(static_cast<std::size_t>(i * in_chw),
+                                             static_cast<std::size_t>(in_chw)));
+        }
     }
 
     if (has_bias_) {
-        auto gd = grad.data();
         for (int i = 0; i < n; ++i)
             for (int f = 0; f < out_channels_; ++f) {
                 const float* row = gd.data() + i * out_chw +

@@ -1,6 +1,9 @@
 #pragma once
 
 // 2-D convolution layer (square kernels) lowered onto im2col + GEMM.
+// Images are grouped so each GEMM sees at least 256 columns (one GEMM per
+// image on large maps, many images per GEMM on 2×2 or 1×1 maps); the
+// result is bit-equal to one GEMM per image.
 //
 // Pruning hooks:
 //  * set_output_mask() multiplies output channels by a 0/1 (or soft) gate —

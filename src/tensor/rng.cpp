@@ -93,17 +93,4 @@ void Rng::shuffle(std::vector<int>& values) {
 
 Rng Rng::fork() { return Rng(next_u64()); }
 
-Rng Rng::counter_stream(std::uint64_t seed, std::uint64_t hi,
-                        std::uint64_t lo) {
-    // Chain the three words through splitmix64 so adjacent counters land
-    // on well-separated seeds (plain XOR of small integers would not).
-    std::uint64_t x = seed;
-    std::uint64_t mixed = splitmix64(x);
-    x ^= hi + 0x9e3779b97f4a7c15ULL;
-    mixed ^= splitmix64(x);
-    x ^= lo + 0xbf58476d1ce4e5b9ULL;
-    mixed ^= splitmix64(x);
-    return Rng(mixed);
-}
-
 } // namespace hs

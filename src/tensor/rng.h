@@ -54,16 +54,6 @@ public:
     /// current state, advances the parent once).
     [[nodiscard]] Rng fork();
 
-    /// Counter-based stream: the (seed, hi, lo) triple alone determines
-    /// the stream — no parent state, no draw ordering. This is the RNG
-    /// scheme of the parallel pruning search (DESIGN.md §15): sample
-    /// (iteration, sample-index) pairs map to streams identically no
-    /// matter which worker lane evaluates them or how many lanes exist,
-    /// so every worker count replays the same randomness.
-    [[nodiscard]] static Rng counter_stream(std::uint64_t seed,
-                                            std::uint64_t hi,
-                                            std::uint64_t lo);
-
 private:
     std::uint64_t state_;
     std::uint64_t inc_;

@@ -3,7 +3,11 @@
 // oracle for hand-written backward passes.
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <span>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -170,6 +174,77 @@ TEST(Conv2d, MaskedForwardEqualsMaskedOutput) {
                     EXPECT_FLOAT_EQ(masked.at(i, f, h, w2),
                                     mask[static_cast<std::size_t>(f)] *
                                         full.at(i, f, h, w2));
+}
+
+/// Bit-for-bit comparison of two float spans; reports the first mismatch.
+void expect_bit_equal(std::span<const float> want, std::span<const float> got,
+                      const std::string& what) {
+    ASSERT_EQ(want.size(), got.size()) << what;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        if (std::memcmp(&want[i], &got[i], sizeof(float)) != 0) {
+            ADD_FAILURE() << what << " differs at " << i << ": " << want[i]
+                          << " vs " << got[i];
+            return;
+        }
+    }
+}
+
+/// A batched forward + backward must equal running the same conv one image
+/// at a time bit for bit, whatever the image grouping of its GEMMs.
+void expect_batch_matches_per_image(int size, int batch, bool masked) {
+    const std::string what = std::to_string(size) + "x" + std::to_string(size) +
+                             " batch " + std::to_string(batch) +
+                             (masked ? " masked" : "");
+    const int in_c = 16, out_c = 8;
+    Rng rng(static_cast<std::uint64_t>(size * 100 + batch));
+    Conv2d base(in_c, out_c, 3, 1, 1, true, rng);
+    rng.fill_normal(base.bias().value, 0.0, 0.5);
+    if (masked) {
+        std::vector<float> mask(static_cast<std::size_t>(out_c), 1.0f);
+        mask[1] = 0.0f;
+        mask[4] = 0.5f;
+        base.set_output_mask(mask);
+    }
+    const Tensor x = random_input({batch, in_c, size, size}, 11);
+    const Tensor dy = random_input({batch, out_c, size, size}, 12);
+
+    Conv2d whole = base;
+    whole.zero_grad();
+    const Tensor y = whole.forward(x, true);
+    const Tensor dx = whole.backward(dy);
+
+    Conv2d single = base;
+    single.zero_grad();
+    const std::int64_t in_chw = static_cast<std::int64_t>(in_c) * size * size;
+    const std::int64_t out_chw = static_cast<std::int64_t>(out_c) * size * size;
+    for (int i = 0; i < batch; ++i) {
+        auto slice = [i](const Tensor& t, std::int64_t chw, int channels, int hw) {
+            const auto d = t.data().subspan(static_cast<std::size_t>(i * chw),
+                                            static_cast<std::size_t>(chw));
+            return Tensor({1, channels, hw, hw}, {d.begin(), d.end()});
+        };
+        const Tensor yi = single.forward(slice(x, in_chw, in_c, size), true);
+        const Tensor dxi = single.backward(slice(dy, out_chw, out_c, size));
+        expect_bit_equal(y.data().subspan(static_cast<std::size_t>(i * out_chw),
+                                          static_cast<std::size_t>(out_chw)),
+                         yi.data(), what + " output, image " + std::to_string(i));
+        expect_bit_equal(dx.data().subspan(static_cast<std::size_t>(i * in_chw),
+                                           static_cast<std::size_t>(in_chw)),
+                         dxi.data(), what + " grad_input, image " + std::to_string(i));
+    }
+    expect_bit_equal(whole.weight().grad.data(), single.weight().grad.data(),
+                     what + " weight grad");
+    expect_bit_equal(whole.bias().grad.data(), single.bias().grad.data(),
+                     what + " bias grad");
+}
+
+TEST(Conv2d, BatchedGemmsBitEqualPerImage) {
+    // Output maps from 1×1 (256 images per GEMM) to 16×16 (one per GEMM);
+    // odd batches leave a partial last group.
+    for (const int size : {1, 2, 4, 8, 16})
+        for (const int batch : {7, 37})
+            for (const bool masked : {false, true})
+                expect_batch_matches_per_image(size, batch, masked);
 }
 
 TEST(Conv2d, ReplaceParametersShrinks) {

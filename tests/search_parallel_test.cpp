@@ -3,8 +3,7 @@
 //  * workers=1 reproduces the historical sequential trace bit-for-bit
 //    (asserted against an in-test replica of the old sequential loop);
 //  * results are invariant in the worker count AND run-to-run at fixed N;
-//  * counter-based Rng streams make even stochastic evaluators
-//    schedule-independent;
+//  * the per-search reward memo evaluates each distinct action once;
 //  * a mid-search kill + resume under workers=4 restores an identical
 //    trace prefix;
 //  * HS_FAULT search.worker=crash respawns lanes without losing samples;
@@ -19,6 +18,8 @@
 #include <cmath>
 #include <filesystem>
 #include <functional>
+#include <map>
+#include <mutex>
 #include <span>
 #include <string>
 #include <thread>
@@ -153,11 +154,7 @@ void expect_identical(const core::SearchResult& a, const core::SearchResult& b) 
 }
 
 core::EvaluatorFactory synthetic_factory() {
-    return [](int) -> core::StochasticEvaluator {
-        return [](std::span<const float> action, Rng&) {
-            return synthetic_accuracy(action);
-        };
-    };
+    return [](int) -> core::ActionEvaluator { return synthetic_accuracy; };
 }
 
 TEST(SearchParallel, WorkersOneMatchesSequentialReferenceBitExact) {
@@ -187,36 +184,41 @@ TEST(SearchParallel, ResultInvariantInWorkerCountAndRepeatable) {
         expect_identical(results[0], results[i]);
 }
 
-TEST(SearchParallel, StochasticEvaluatorStreamsAreScheduleIndependent) {
-    // The evaluator consumes its per-sample counter stream; the draw must
-    // depend only on (seed, iteration, sample), never on the lane or the
-    // worker count.
+TEST(SearchParallel, MemoEvaluatesEachDistinctActionOnce) {
+    // A converging policy repeats its inference action every iteration,
+    // so without the memo the counting evaluator would see repeats.
     const int actions = 12;
-    auto factory = [](int) -> core::StochasticEvaluator {
-        return [](std::span<const float> action, Rng& rng) {
-            return synthetic_accuracy(action) + 0.01 * rng.uniform();
-        };
-    };
-    std::vector<core::SearchResult> results;
+    obs::set_enabled(true);
+    auto& reg = obs::Registry::instance();
     for (const int workers : {1, 2, 4}) {
+        std::mutex mu;
+        std::map<std::vector<float>, int> seen;
+        int calls = 0;
+        auto factory = [&](int) -> core::ActionEvaluator {
+            return [&](std::span<const float> action) {
+                const std::lock_guard<std::mutex> lock(mu);
+                ++seen[std::vector<float>(action.begin(), action.end())];
+                ++calls;
+                return synthetic_accuracy(action);
+            };
+        };
         core::SearchConfig cfg = small_config();
         cfg.workers = workers;
+        const auto evals0 = reg.counter("search.action_evaluations").value();
+        const auto hits0 = reg.counter("search.memo_hits").value();
         core::ActionSearch driver(actions, factory, 0.6, cfg);
-        results.push_back(driver.run());
-    }
-    expect_identical(results[0], results[1]);
-    expect_identical(results[0], results[2]);
-}
+        const auto got = driver.run();
 
-TEST(SearchParallel, CounterStreamIsPureFunctionOfCounters) {
-    Rng a = Rng::counter_stream(7, 3, 9);
-    Rng b = Rng::counter_stream(7, 3, 9);
-    for (int i = 0; i < 16; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
-    Rng c = Rng::counter_stream(7, 3, 10);
-    Rng d = Rng::counter_stream(7, 4, 9);
-    EXPECT_NE(c.next_u64(), d.next_u64());
-    EXPECT_NE(Rng::counter_stream(7, 3, 9).next_u64(),
-              Rng::counter_stream(8, 3, 9).next_u64());
+        for (const auto& [action, n] : seen)
+            EXPECT_EQ(n, 1) << "workers " << workers;
+        const auto evals = reg.counter("search.action_evaluations").value() - evals0;
+        const auto hits = reg.counter("search.memo_hits").value() - hits0;
+        EXPECT_EQ(evals, calls) << "workers " << workers;
+        EXPECT_GT(hits, 0) << "workers " << workers;
+        EXPECT_EQ(evals + hits,
+                  (1 + cfg.monte_carlo_k) * got.iterations + 2)
+            << "workers " << workers;
+    }
 }
 
 // --------------------------------------------------------------------------
@@ -245,8 +247,8 @@ TEST_F(SearchFaultTest, CrashedLanesRespawnWithoutLosingSamples) {
     EXPECT_GT(fault::hits("search.worker"), 0);
     fault::disarm();
 
-    // Every lost sample was replayed on a respawned lane with the same
-    // Rng stream: the trace is unchanged.
+    // Every lost sample was replayed on a respawned lane: the trace is
+    // unchanged.
     expect_identical(want, got);
     EXPECT_GT(respawns.value(), respawns0);
 }
