@@ -76,18 +76,42 @@ void bench_fp32_gemm(TablePrinter& table, int reps) {
                        TablePrinter::num(ms, 3), TablePrinter::num(gf, 2)});
         export_gauge(name + "_gflops", gf);
     }
-    {
-        constexpr int n = 128;
-        Tensor a({n, n}), b({n, n}), c({n, n});
+}
+
+/// gemm_bt at the shapes it runs at: the square row, then Conv2d::backward's
+/// per-image dW += dY · colsᵀ (m = filters, n = C·K·K, k = out_h·out_w) for
+/// the deep, middle and first convs of hsbench's VGG (width 0.125, 16×16
+/// inputs), then a batched Linear classifier (m = batch, n = classes,
+/// k = features). The small shapes run `calls` back-to-back per timed
+/// sample so one sample is not a handful of microseconds of clock jitter.
+void bench_gemm_bt(TablePrinter& table, int reps) {
+    struct Shape {
+        int m, n, k;
+        float beta; // 1 where the caller accumulates (dW)
+        const char* name;
+    };
+    const Shape shapes[] = {{128, 128, 128, 0.0f, "128"},
+                            {64, 576, 4, 1.0f, "64x576x4"},
+                            {32, 288, 16, 1.0f, "32x288x16"},
+                            {8, 72, 256, 1.0f, "8x72x256"},
+                            {8, 4, 64, 0.0f, "8x4x64"}};
+    Rng rng(2);
+    for (const Shape& s : shapes) {
+        Tensor a({s.m, s.k}), b({s.n, s.k}), c({s.m, s.n});
         rng.fill_normal(a, 0.0, 1.0);
         rng.fill_normal(b, 0.0, 1.0);
+        const std::int64_t macs = static_cast<std::int64_t>(s.m) * s.n * s.k;
+        const int calls = static_cast<int>(std::max<std::int64_t>(1, (1 << 20) / macs));
         const double ms = best_ms(reps, [&] {
-            gemm_bt(n, n, n, 1.0f, a.data(), b.data(), 0.0f, c.data());
-        });
-        const double gf = gflops(static_cast<std::int64_t>(n) * n * n, ms);
-        table.add_row({"fp32 gemm_bt 128^3", "-", TablePrinter::num(ms, 3),
+                              for (int r = 0; r < calls; ++r)
+                                  gemm_bt(s.m, s.n, s.k, 1.0f, a.data(), b.data(), s.beta,
+                                          c.data());
+                          }) /
+                          calls;
+        const double gf = gflops(macs, ms);
+        table.add_row({std::string("fp32 gemm_bt ") + s.name, "-", TablePrinter::num(ms, 4),
                        TablePrinter::num(gf, 2)});
-        export_gauge("gemm_bt_128_gflops", gf);
+        export_gauge(std::string("gemm_bt_") + s.name + "_gflops", gf);
     }
 }
 
@@ -232,6 +256,7 @@ int main(int argc, char** argv) {
 
     TablePrinter table({"kernel", "tactic", "best ms", "throughput"});
     bench_fp32_gemm(table, reps);
+    bench_gemm_bt(table, reps);
     bench_im2col(table, reps);
     bench_conv_forward(table, reps);
     bench_vgg_forward(table, reps);

@@ -217,8 +217,11 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
                           static_cast<std::size_t>(i * in_chw),
                           static_cast<std::size_t>(in_chw)),
                    cols_scratch_.data());
-            // dW += dY(F×OHW) · colsᵀ(OHW×CKK), per image so the dot
-            // products keep their historical grouping
+            // dW += dY(F×OHW) · colsᵀ(OHW×CKK), per image and in image
+            // order: each weight's gradient is one OHW-long dot product
+            // per image, summed into dW image by image, with the rounding
+            // gemm_bt pins (gemm.h). gemm_bt packs cols' rows itself, so
+            // they stay in im2col layout here.
             gemm_bt(out_channels_, static_cast<int>(ckk), static_cast<int>(ohw), 1.0f,
                     gd.subspan(static_cast<std::size_t>(i * out_chw),
                                static_cast<std::size_t>(out_chw)),

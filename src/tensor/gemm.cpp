@@ -70,28 +70,6 @@ void gemm_at(int m, int n, int k, float alpha, std::span<const float> a,
     }
 }
 
-void gemm_bt(int m, int n, int k, float alpha, std::span<const float> a,
-             std::span<const float> b, float beta, std::span<float> c) {
-    require(static_cast<std::int64_t>(a.size()) >= static_cast<std::int64_t>(m) * k &&
-                static_cast<std::int64_t>(b.size()) >= static_cast<std::int64_t>(n) * k &&
-                static_cast<std::int64_t>(c.size()) >= static_cast<std::int64_t>(m) * n,
-            "gemm_bt: span sizes too small for the given dimensions");
-    scale_c(m, n, beta, c);
-
-    // Dot-product formulation: both operand rows are contiguous.
-#pragma omp parallel for schedule(static) if (static_cast<std::int64_t>(m) * n * k > 1 << 18)
-    for (int i = 0; i < m; ++i) {
-        const float* __restrict arow = a.data() + static_cast<std::int64_t>(i) * k;
-        float* __restrict crow = c.data() + static_cast<std::int64_t>(i) * n;
-        for (int j = 0; j < n; ++j) {
-            const float* __restrict brow = b.data() + static_cast<std::int64_t>(j) * k;
-            float acc = 0.0f;
-            for (int p = 0; p < k; ++p) acc += arow[p] * brow[p];
-            crow[j] += alpha * acc;
-        }
-    }
-}
-
 Tensor matmul(const Tensor& a, const Tensor& b) {
     require(a.rank() == 2 && b.rank() == 2, "matmul needs rank-2 tensors");
     require(a.dim(1) == b.dim(0), "matmul inner dimensions must agree: " +

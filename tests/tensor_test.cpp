@@ -1,6 +1,11 @@
 // Unit tests for the tensor substrate: Tensor, Rng, gemm, im2col.
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -210,6 +215,171 @@ TEST(Gemm, TransposedBMatchesNaive) {
             for (int p = 0; p < k; ++p) acc += static_cast<double>(a.at(i, p)) * bt.at(j, p);
             EXPECT_NEAR(c.at(i, j), acc, 1e-4);
         }
+}
+
+// gemm_bt's rounding contract, one rounding at a time: the products of
+// the first 8·⌊k/8⌋ terms are rounded and added left to right into 0, the
+// remaining k mod 8 terms are fused, then c = fma(alpha, acc, c). The
+// volatile stores round every product and sum to float, so no compiler
+// contraction can reach this reference.
+float bt_contract_dot(const float* a, const float* b, int k) {
+    const int body = k / 8 * 8;
+    volatile float acc = 0.0f;
+    for (int p = 0; p < body; ++p) {
+        volatile float prod = a[p] * b[p];
+        acc = acc + prod;
+    }
+    float sum = acc;
+    for (int p = body; p < k; ++p) sum = std::fma(a[p], b[p], sum);
+    return sum;
+}
+
+std::uint32_t bits(float v) { return std::bit_cast<std::uint32_t>(v); }
+
+/// One gemm_bt call's operands: A and Bᵀ start `offset` floats into their
+/// buffers, and C starts as NaN where beta == 0 (which must ignore it).
+struct BtCase {
+    int m, n, k, offset;
+    float alpha, beta;
+    std::vector<float> a, b, c;
+
+    BtCase(int m_, int n_, int k_, int offset_, float alpha_, float beta_, Rng& rng)
+        : m(m_), n(n_), k(k_), offset(offset_), alpha(alpha_), beta(beta_),
+          a(static_cast<std::size_t>(m * k + offset)),
+          b(static_cast<std::size_t>(n * k + offset)),
+          c(static_cast<std::size_t>(m * n)) {
+        for (auto& v : a) v = static_cast<float>(rng.normal(0.0, 1.0));
+        for (auto& v : b) v = static_cast<float>(rng.normal(0.0, 1.0));
+        for (auto& v : c)
+            v = beta == 0.0f ? std::numeric_limits<float>::quiet_NaN()
+                             : static_cast<float>(rng.normal(0.0, 1.0));
+    }
+    std::span<const float> a_op() const { return {a.data() + offset, static_cast<std::size_t>(m * k)}; }
+    std::span<const float> b_op() const { return {b.data() + offset, static_cast<std::size_t>(n * k)}; }
+};
+
+/// Every (k, pointer offset) for k = 1…600 at a 9-column C (one partial
+/// vector past a full one), cycling alpha ∈ {1, 0.37} × beta ∈ {0, 1};
+/// then n ∈ {1, 4, 63, 64, 65, 577} (partial, full and multiple tiles)
+/// at body/tail boundaries of k, under every alpha × beta.
+template <typename F>
+void for_each_bt_case(F&& check) {
+    Rng rng(27);
+    const float alphas[] = {1.0f, 0.37f};
+    const float betas[] = {0.0f, 1.0f};
+    for (int k = 1; k <= 600; ++k)
+        for (int offset = 0; offset < 6; ++offset) {
+            const int combo = (k + offset) % 4;
+            check(BtCase(2, 9, k, offset, alphas[combo / 2], betas[combo % 2], rng));
+        }
+    for (const int n : {1, 4, 63, 64, 65, 577})
+        for (const int k : {1, 7, 8, 9, 16, 100, 255})
+            for (const float alpha : alphas)
+                for (const float beta : betas)
+                    check(BtCase(3, n, k, (n + k) % 6, alpha, beta, rng));
+}
+
+TEST(Gemm, TransposedBFollowsRoundingContract) {
+    int mismatches = 0;
+    for_each_bt_case([&](BtCase t) {
+        const std::vector<float> c0 = t.c;
+        gemm_bt(t.m, t.n, t.k, t.alpha, t.a_op(), t.b_op(), t.beta, t.c);
+        for (int i = 0; i < t.m; ++i)
+            for (int j = 0; j < t.n; ++j) {
+                const std::size_t at = static_cast<std::size_t>(i * t.n + j);
+                const float dot = bt_contract_dot(t.a_op().data() + i * t.k,
+                                                  t.b_op().data() + j * t.k, t.k);
+                const float want =
+                    std::fma(t.alpha, dot, t.beta == 0.0f ? 0.0f : c0[at]);
+                if (bits(t.c[at]) != bits(want) && ++mismatches <= 5)
+                    ADD_FAILURE() << "m=" << t.m << " n=" << t.n << " k=" << t.k
+                                  << " offset=" << t.offset << " alpha=" << t.alpha
+                                  << " beta=" << t.beta << " C(" << i << "," << j
+                                  << "): " << t.c[at] << " want " << want;
+            }
+    });
+    EXPECT_EQ(mismatches, 0);
+}
+
+TEST(Gemm, TransposedBRowIndependentOfBatchAndTileSlot) {
+    // The engine batches classifier rows and the serving path compares
+    // them byte for byte with batch-1 replies: an element may depend on
+    // neither how many rows share the call nor where its column falls
+    // in a packed tile.
+    Rng rng(28);
+    const int m = 9, n = 150, k = 37;
+    Tensor a({m, k}), bt({n, k});
+    rng.fill_normal(a, 0.0, 1.0);
+    rng.fill_normal(bt, 0.0, 1.0);
+    Tensor full({m, n});
+    gemm_bt(m, n, k, 1.0f, a.data(), bt.data(), 0.0f, full.data());
+    for (int i = 0; i < m; ++i) {
+        Tensor row({1, n});
+        gemm_bt(1, n, k, 1.0f, a.data().subspan(static_cast<std::size_t>(i * k)),
+                bt.data(), 0.0f, row.data());
+        for (int j = 0; j < n; ++j)
+            ASSERT_EQ(bits(row[j]), bits(full.at(i, j))) << "row " << i << " col " << j;
+    }
+    for (const int skip : {1, 5, 8, 63, 64, 65, 149}) {
+        const int cols = n - skip;
+        Tensor part({m, cols});
+        gemm_bt(m, cols, k, 1.0f, a.data(),
+                bt.data().subspan(static_cast<std::size_t>(skip * k)), 0.0f, part.data());
+        for (int i = 0; i < m; ++i)
+            for (int j = 0; j < cols; ++j)
+                ASSERT_EQ(bits(part.at(i, j)), bits(full.at(i, skip + j)))
+                    << "skip " << skip << " row " << i << " col " << j;
+    }
+}
+
+#if defined(__OPTIMIZE__) && defined(__AVX2__) && defined(__FMA__) && defined(__GNUC__) && \
+    !defined(__clang__)
+// The loop gemm_bt ran before it packed Bᵀ, verbatim. GCC at -O3
+// -march=native (the Release flags) vectorizes its products 8 wide, adds
+// them in order, and contracts the remainder and the alpha step into
+// fmas; that is where the rounding contract comes from. noipa keeps the
+// call sites from specializing it.
+__attribute__((noipa)) void parent_gemm_bt(int m, int n, int k, float alpha,
+                                           std::span<const float> a,
+                                           std::span<const float> b, float beta,
+                                           std::span<float> c) {
+    if (beta == 0.0f)
+        std::fill(c.begin(), c.begin() + static_cast<std::ptrdiff_t>(m) * n, 0.0f);
+    else if (beta != 1.0f)
+        for (std::int64_t i = 0; i < static_cast<std::int64_t>(m) * n; ++i)
+            c[static_cast<std::size_t>(i)] *= beta;
+#pragma omp parallel for schedule(static) if (static_cast<std::int64_t>(m) * n * k > 1 << 18)
+    for (int i = 0; i < m; ++i) {
+        const float* __restrict arow = a.data() + static_cast<std::int64_t>(i) * k;
+        float* __restrict crow = c.data() + static_cast<std::int64_t>(i) * n;
+        for (int j = 0; j < n; ++j) {
+            const float* __restrict brow = b.data() + static_cast<std::int64_t>(j) * k;
+            float acc = 0.0f;
+            for (int p = 0; p < k; ++p) acc += arow[p] * brow[p];
+            crow[j] += alpha * acc;
+        }
+    }
+}
+#endif
+
+TEST(Gemm, TransposedBBitEqualToParentLoop) {
+#if defined(__OPTIMIZE__) && defined(__AVX2__) && defined(__FMA__) && defined(__GNUC__) && \
+    !defined(__clang__)
+    int mismatches = 0;
+    for_each_bt_case([&](BtCase t) {
+        std::vector<float> want = t.c;
+        parent_gemm_bt(t.m, t.n, t.k, t.alpha, t.a_op(), t.b_op(), t.beta, want);
+        gemm_bt(t.m, t.n, t.k, t.alpha, t.a_op(), t.b_op(), t.beta, t.c);
+        for (std::size_t at = 0; at < want.size(); ++at)
+            if (bits(t.c[at]) != bits(want[at]) && ++mismatches <= 5)
+                ADD_FAILURE() << "m=" << t.m << " n=" << t.n << " k=" << t.k
+                              << " offset=" << t.offset << " element " << at << ": "
+                              << t.c[at] << " want " << want[at];
+    });
+    EXPECT_EQ(mismatches, 0);
+#else
+    GTEST_SKIP() << "the parent loop's rounding is that of GCC's optimized AVX2+FMA build";
+#endif
 }
 
 TEST(Gemm, Matmul) {
